@@ -27,15 +27,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .critical_group import SingularMatrixError
 from .fractal_graph import build, has_ternary_digit_two, kappa
-from .recurrence import enumerate_recurrent_k4, _as_generator
+from .recurrence import _as_generator, _recurrent_k4_table, enumerate_recurrent_k4
 from .sandpile import SandpileConfig, _chain_flow, stabilize
 
 STATES = (0, 1, 2, 3, 4)
-
-
-class SingularMatrixError(ArithmeticError):
-    """The absorption system was singular (corrupted transition matrix)."""
 
 
 @dataclass(frozen=True)
@@ -309,7 +306,8 @@ def radius_pmf(n: int, matrix: TransitionMatrix | None = None) -> Fraction:
     if has_ternary_digit_two(n):
         return Fraction(0)
     first, second = _radius_events(n)
-    assert _events_disjoint(first, second), f"radius events overlap at n={n}"
+    if not _events_disjoint(first, second):
+        raise RuntimeError(f"radius events overlap at n={n}")
     return path_probability(first, 1, P) + path_probability(second, 1, P)
 
 
@@ -396,28 +394,28 @@ def _run_chain_trials(trials: int, max_steps: int, rng: np.random.Generator, lut
 
 def _run_sandpile_trials(trials: int, level: int, rng: np.random.Generator) -> tuple[int, int, int]:
     m = 3**level
-    table = [c.as_tuple() for c in enumerate_recurrent_k4()]
-    stabilized = exploded = truncated = 0
-    picks_per_trial = rng.integers(0, len(table), size=(trials, m))
-    for t in range(trials):
-        heights = [0] * (3 * m + 1)
-        picks = picks_per_trial[t]
-        for j in range(m):
-            bl, tl, br = table[picks[j]]
-            base = 3 * j
-            heights[base] = bl + (3 if j > 0 else 0)
-            heights[base + 1] = tl
-            heights[base + 2] = br
-        heights[0] += 1  # the added particle at the origin
-        counts = _chain_flow(heights, m, stop_at_absorption=True)
-        last = counts[-1]
-        if last == 0:
-            stabilized += 1
-        elif last == 4:
-            exploded += 1
-        else:
-            truncated += 1
-    return stabilized, exploded, truncated
+    table = _recurrent_k4_table()
+    picks = rng.integers(0, len(table), size=(trials, m))
+    # chain ids of block j: bottom-left 3j, top-left 3j+1, bottom-right 3j+2,
+    # the same order as the table's (0,0), (0,1), (1,0) columns
+    heights = np.zeros((trials, 3 * m + 1), dtype=np.int64)
+    heights[:, : 3 * m] = table[picks].reshape(trials, 3 * m)
+    heights[:, 3 : 3 * m : 3] += 3  # gluing at the interior cutpoints
+    heights[:, 0] += 1  # the added particle at the origin
+    last = np.array(
+        [_chain_flow(row, m, stop_at_absorption=True)[-1] for row in heights.tolist()]
+    )
+    stabilized = int(np.count_nonzero(last == 0))
+    exploded = int(np.count_nonzero(last == 4))
+    return stabilized, exploded, trials - stabilized - exploded
+
+
+# Trials per random stream.  Every block of trials draws from its own child
+# of the caller's stream and workers take whole blocks, so the counts depend
+# on the seed alone and the worker count changes only the wall time.  A chain
+# block is one vectorized pass; sandpile trials run one by one, so their
+# smaller blocks still spread over workers.
+_BLOCK_TRIALS = {"chain": 1 << 18, "sandpile": 1 << 10}
 
 
 def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: int = 1) -> MonteCarloEstimate:
@@ -426,8 +424,10 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
     chain mode simulates the particle-count chain from state 1 for at most
     3^level steps; sandpile mode assembles independent uniform K4 blocks on
     the diagonal of the level graph, adds one particle at the origin, and
-    classifies the nested-volume flow by its absorbing value.  Workers split
-    the trials over independent child random streams.
+    classifies the nested-volume flow by its absorbing value.  The trials are
+    split into fixed-size blocks, each with its own child random stream;
+    workers share out the blocks, and the result does not depend on how many
+    there are.
     """
     if mode not in ("chain", "sandpile"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -439,24 +439,18 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
         build(level)  # enforces the build cap
     rng = _as_generator(rng)
 
-    chunks = _split_trials(trials, max(1, workers))
-    streams = rng.spawn(len(chunks)) if len(chunks) > 1 else [rng]
-    totals = [0, 0, 0]
-    if len(chunks) == 1:
-        totals = list(_run_trial_chunk(mode, level, trials, streams[0]))
+    size = _BLOCK_TRIALS[mode]
+    blocks = [min(size, trials - start) for start in range(0, trials, size)]
+    args = ([mode] * len(blocks), [level] * len(blocks), blocks, rng.spawn(len(blocks)))
+    workers = min(max(1, workers), len(blocks))
+    if workers == 1:
+        parts = list(map(_run_trial_block, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(
-                _run_trial_chunk,
-                [mode] * len(chunks),
-                [level] * len(chunks),
-                chunks,
-                streams,
-            ):
-                totals = [a + b for a, b in zip(totals, part)]
-    stabilized, exploded, truncated = totals
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_trial_block, *args))
+    stabilized, exploded, truncated = (sum(column) for column in zip(*parts))
     p = stabilized / trials
     stderr = math.sqrt(max(p * (1 - p), 1e-300) / trials)
     return MonteCarloEstimate(
@@ -471,13 +465,7 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
     )
 
 
-def _split_trials(trials: int, workers: int) -> list[int]:
-    workers = min(workers, trials)
-    base, extra = divmod(trials, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
-def _run_trial_chunk(mode: str, level: int, trials: int, rng: np.random.Generator) -> tuple[int, int, int]:
+def _run_trial_block(mode: str, level: int, trials: int, rng: np.random.Generator) -> tuple[int, int, int]:
     if mode == "chain":
         lut = _sixteenth_lut(transition_matrix())
         return _run_chain_trials(trials, 3**level, rng, lut)

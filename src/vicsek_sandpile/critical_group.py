@@ -30,19 +30,12 @@ _INT64_GUARD = 2**60
 
 
 class SingularMatrixError(ArithmeticError):
-    """Input matrix is rank deficient."""
+    """A matrix or linear system is singular (rank deficient)."""
 
 
 def reduced_laplacian(g: VicsekGraph) -> np.ndarray:
     """Graph Laplacian with the sink row and column removed."""
-    n = g.num_vertices - 1
-    out = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        out[v, v] = g.degrees[v]
-        for w in g.neighbors[v]:
-            if w != g.sink_index:
-                out[v, w] -= 1
-    return out
+    return np.diag(g.degrees[:-1]) - g.nonsink_adjacency.toarray()
 
 
 class _Int64Overflow(Exception):

@@ -4,8 +4,11 @@ The level-0 graph is the complete graph K4 on the unit square
 {(0,0),(1,0),(0,1),(1,1)}.  Level n is the union of five shifted copies of
 level n-1 placed at offsets (0,0), (L,L), (2L,0), (0,2L), (2L,2L) with
 L = 3^(n-1), so the level-n graph lives on the lattice square [0, 3^n]^2.
-It has 3*5^n + 1 vertices and 6*5^n edges; every vertex has degree 3 (corner
-of a single K4 block) or degree 6 (cutpoint shared by exactly two blocks).
+The five copies meet only at single vertices, so the level-n graph is a
+tree of 5^n K4 blocks glued at cut vertices: it has 3*5^n + 1 vertices and
+6*5^n edges, and every vertex has degree 3 (corner of a single block) or
+degree 6 (cutpoint shared by exactly two blocks).  The graph is built as
+that block table, and adjacency is derived from it.
 
 The diagonal chain D_n is the union of the 3^n complete blocks
 K^i = {(i-1,i-1), (i-1,i), (i,i-1), (i,i)}.  Vertices split into the exact
@@ -20,9 +23,10 @@ from __future__ import annotations
 import os
 from collections import deque
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 Coord = tuple[int, int]
 
@@ -51,49 +55,62 @@ class DiagonalClass(Enum):
     BRANCH = "branch"
 
 
+# Corners of a unit square in canonical (lexicographic) order, and the
+# offsets of the five copies in units of the previous level's side.
+_CORNERS = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.int64)
+_COPY_OFFSETS = np.array([(0, 0), (1, 1), (2, 0), (0, 2), (2, 2)], dtype=np.int64)
+# the 12 ordered pairs of distinct corners: the directed edges of one block
+_BLOCK_EDGES = np.array([(a, b) for a in range(4) for b in range(4) if a != b])
+
+
+def _block_corners(level: int) -> np.ndarray:
+    """Lower-left corners of the 5^level unit blocks, by the five-copy
+    recursion applied to the level-0 block at the origin."""
+    corners = np.zeros((1, 2), dtype=np.int64)
+    for k in range(level):
+        corners = (_COPY_OFFSETS[:, None, :] * 3**k + corners[None, :, :]).reshape(-1, 2)
+    return corners
+
+
 class VicsekGraph:
     """Immutable level-n Vicsek graph with dense canonical vertex indexing.
 
+    The graph is a tree of 5^n K4 blocks glued at cut vertices, and the
+    block table ``blocks`` is its primary data: one row per unit square,
+    holding the indices of its four corners in canonical order
+    (x, y), (x, y+1), (x+1, y), (x+1, y+1), rows sorted by lower-left corner.
     Vertices are ordered lexicographically by (x, y); the sink (3^n, 3^n) is
-    always the last index.  Adjacency is stored both as per-vertex sorted
-    neighbor lists and as flat CSR-style arrays for vectorized consumers.
+    always the last index.  Adjacency is derived from the blocks, both as
+    per-vertex sorted neighbor lists and as flat CSR-style arrays for
+    vectorized consumers; the non-sink views are computed on first use.
     """
 
-    def __init__(self, level: int, vertices: list[Coord], edges: set[frozenset]):
+    def __init__(self, level: int):
         self.level = level
         self.side = 3**level
         self.sink: Coord = (self.side, self.side)
-        self.vertices = vertices
-        self.index: dict[Coord, int] = {v: i for i, v in enumerate(vertices)}
+
+        squares = _block_corners(level)[:, None, :] + _CORNERS[None, :, :]
+        keys = squares[..., 0] * (self.side + 1) + squares[..., 1]
+        codes, blocks = np.unique(keys, return_inverse=True)
+        blocks = blocks.reshape(-1, 4).astype(np.int64)
+        self.blocks = blocks[np.argsort(blocks[:, 0])]
+        xs, ys = np.divmod(codes, self.side + 1)
+        self.vertices: list[Coord] = list(zip(xs.tolist(), ys.tolist()))
+        self.index: dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
         self.sink_index = self.index[self.sink]
 
-        nbrs: list[list[int]] = [[] for _ in vertices]
-        for e in edges:
-            a, b = tuple(e)
-            ia, ib = self.index[a], self.index[b]
-            nbrs[ia].append(ib)
-            nbrs[ib].append(ia)
-        for lst in nbrs:
-            lst.sort()
-        self.neighbors = nbrs
-        self.degrees = np.array([len(lst) for lst in nbrs], dtype=np.int64)
-
-        self.indptr = np.zeros(len(vertices) + 1, dtype=np.int64)
+        # every corner of a block is adjacent to the block's three others;
+        # two blocks share at most one vertex, so no edge is listed twice
+        self.degrees = 3 * np.bincount(self.blocks.ravel(), minlength=len(codes))
+        src = self.blocks[:, _BLOCK_EDGES[:, 0]].ravel()
+        dst = self.blocks[:, _BLOCK_EDGES[:, 1]].ravel()
+        self.nbr_indices = dst[np.lexsort((dst, src))]
+        self.indptr = np.zeros(len(codes) + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.indptr[1:])
-        self.nbr_indices = np.fromiter(
-            (w for lst in nbrs for w in lst), dtype=np.int64, count=int(self.indptr[-1])
-        )
+        flat, bounds = self.nbr_indices.tolist(), self.indptr.tolist()
+        self.neighbors = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
-        # K^i blocks along the diagonal, i = 1 .. 3^n.
-        self.copy_registry: list[tuple[int, int, int, int]] = [
-            tuple(
-                self.index[c]
-                for c in ((i - 1, i - 1), (i - 1, i), (i, i - 1), (i, i))
-            )
-            for i in range(1, self.side + 1)
-        ]
-
-        self._engine_cache: dict | None = None  # filled lazily by the sandpile engine
         self._dist_to_sink: np.ndarray | None = None
 
     def __repr__(self) -> str:
@@ -109,6 +126,30 @@ class VicsekGraph:
     @property
     def num_edges(self) -> int:
         return int(self.degrees.sum()) // 2
+
+    @cached_property
+    def nonsink_adjacency(self) -> sp.csr_matrix:
+        """Adjacency matrix among the non-sink vertices (the sink is last)."""
+        n = self.num_vertices
+        full = sp.csr_matrix(
+            (np.ones(len(self.nbr_indices), dtype=np.int64), self.nbr_indices, self.indptr),
+            shape=(n, n),
+        )
+        return full[:-1, :-1]
+
+    @cached_property
+    def sink_degrees(self) -> np.ndarray:
+        """Number of edges from each non-sink vertex to the sink."""
+        out = np.zeros(self.num_vertices - 1, dtype=np.int64)
+        out[self.neighbors[self.sink_index]] = 1
+        return out
+
+    @cached_property
+    def block_roots(self) -> np.ndarray:
+        """Each block's corner nearest the sink: the cut vertex joining it to
+        the rest of the block tree on the sink's side, or the sink itself."""
+        corner = self.distance_to_sink()[self.blocks].argmin(axis=1)
+        return self.blocks[np.arange(len(self.blocks)), corner]
 
     def contains(self, v: Coord) -> bool:
         return v in self.index
@@ -146,35 +187,9 @@ class VicsekGraph:
         return self._dist_to_sink
 
 
-def _shift(points, dx: int, dy: int):
-    return [(x + dx, y + dy) for x, y in points]
-
-
 @lru_cache(maxsize=None)
 def _build_uncapped(level: int) -> VicsekGraph:
-    base = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    verts: set[Coord] = set(base)
-    edges: set[frozenset] = {
-        frozenset((a, b)) for i, a in enumerate(base) for b in base[i + 1 :]
-    }
-    for k in range(1, level + 1):
-        shift = 3 ** (k - 1)
-        offsets = [
-            (0, 0),
-            (shift, shift),
-            (2 * shift, 0),
-            (0, 2 * shift),
-            (2 * shift, 2 * shift),
-        ]
-        verts = {
-            (x + dx, y + dy) for dx, dy in offsets for x, y in verts
-        }
-        edges = {
-            frozenset(((a[0] + dx, a[1] + dy), (b[0] + dx, b[1] + dy)))
-            for dx, dy in offsets
-            for a, b in map(tuple, edges)
-        }
-    return VicsekGraph(level, sorted(verts), edges)
+    return VicsekGraph(level)
 
 
 def build(level: int) -> VicsekGraph:
@@ -226,8 +241,8 @@ def branch_component(g: VicsekGraph, x: Coord) -> set[Coord]:
                 seen.add(w)
                 queue.append(w)
     component = {g.vertices[w] for w in seen}
-    # the component of x away from the diagonal contains no chain vertex
-    assert all(abs(a - b) > 1 for a, b in component)
+    if any(abs(a - b) <= 1 for a, b in component):
+        raise RuntimeError(f"the branch at {x} reaches the diagonal chain")
     return component
 
 
@@ -239,7 +254,8 @@ def geodesic_to_sink(g: VicsekGraph, x: Coord) -> list[Coord]:
     u = xi
     while u != g.sink_index:
         down = [w for w in g.neighbors[u] if dist[w] == dist[u] - 1]
-        assert len(down) == 1, f"non-unique geodesic step at {g.vertices[u]}"
+        if len(down) != 1:
+            raise RuntimeError(f"non-unique geodesic step at {g.vertices[u]}")
         u = down[0]
         path.append(u)
     return [g.vertices[i] for i in path]

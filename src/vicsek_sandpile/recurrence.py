@@ -10,17 +10,21 @@ spanning tree with Wilson's loop-erased-random-walk algorithm and mapping it
 through the bijection therefore samples exactly uniformly from the
 recurrent set.
 
-Restricted to the diagonal chain, a uniform recurrent configuration looks
-like independent uniform recurrent K4 blocks glued with three extra
-particles at each shared cutpoint; ``sample_ivl_diagonal`` exploits that
-structure directly (the fast path), while ``sample_recurrent`` goes through
-the spanning-tree bijection without structural assumptions (the slow path
-the tests validate the fast path against).
+The Vicsek graph is a tree of K4 blocks glued at cut vertices, and the
+recurrent set is a product over the blocks: a recurrent K4 configuration on
+each block's three corners away from its root (the corner nearest the sink),
+plus three particles at every non-sink root.  Each such configuration burns
+block by block, distinct choices differ, and there are 16^(5^n) of them, the
+number of spanning trees; so ``sample_recurrent`` draws the blocks
+independently and is exactly uniform, and ``sample_ivl_diagonal`` does the
+same on the diagonal chain.  Wilson's algorithm and the burning bijection
+stay as the structure-free reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -109,28 +113,27 @@ def is_recurrent(g: VicsekGraph, c: SandpileConfig) -> bool:
     """Dhar's burning test; input must be stable."""
     if not is_stable(g, c):
         raise ValueError("the burning test applies to stable configurations only")
-    arrays_sink = _sink_degree_vector(g)
-    burned, report = stabilize(g, SandpileConfig(c.heights + arrays_sink))
+    burned, report = stabilize(g, SandpileConfig(c.heights + g.sink_degrees))
     return bool(np.all(report.odometer == 1)) and burned == c
 
 
-def _sink_degree_vector(g: VicsekGraph) -> np.ndarray:
-    out = np.zeros(g.num_vertices - 1, dtype=np.int64)
-    for w in g.neighbors[g.sink_index]:
-        out[w] += 1
-    return out
+@lru_cache(maxsize=1)
+def _recurrent_k4_table() -> np.ndarray:
+    """The 16 recurrent level-0 triples as rows, in the order the burning
+    test finds them among the 27 stable triples; read-only, computed once."""
+    g = build(0)
+    table = np.array(
+        [h for h in product(range(3), repeat=3) if is_recurrent(g, SandpileConfig(h))],
+        dtype=np.int64,
+    )
+    table.flags.writeable = False
+    return table
 
 
 def enumerate_recurrent_k4() -> list[SandpileConfig]:
     """All recurrent configurations of the level-0 graph (sink top-right),
-    found by brute force over the 27 stable triples."""
-    g = build(0)
-    out = []
-    for heights in product(range(3), repeat=3):
-        c = SandpileConfig(heights)
-        if is_recurrent(g, c):
-            out.append(c)
-    return out
+    found by the burning test over the 27 stable triples."""
+    return [SandpileConfig(h) for h in _recurrent_k4_table()]
 
 
 def tree_to_config(
@@ -212,8 +215,17 @@ def wilson_ust(g: VicsekGraph, rng) -> SpanningTree:
 
 
 def sample_recurrent(g: VicsekGraph, rng) -> SandpileConfig:
-    """Exactly uniform sample from the recurrent configurations."""
-    return tree_to_config(g, wilson_ust(g, rng))
+    """Exactly uniform sample from the recurrent configurations: one uniform
+    recurrent K4 configuration per block on its three non-root corners (in
+    canonical order), plus three particles at every non-sink block root."""
+    rng = _as_generator(rng)
+    table = _recurrent_k4_table()
+    roots = g.block_roots
+    others = g.blocks[g.blocks != roots[:, None]].reshape(-1, 3)
+    heights = np.zeros(g.num_vertices, dtype=np.int64)
+    heights[others] = table[rng.integers(0, len(table), size=len(g.blocks))]
+    heights[roots] += 3
+    return SandpileConfig(heights[:-1])
 
 
 def sample_ivl_diagonal(m: int, rng) -> list[SandpileConfig]:

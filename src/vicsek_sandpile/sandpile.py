@@ -20,7 +20,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fractal_graph import Coord, VicsekGraph
 
@@ -121,31 +120,6 @@ class AvalancheReport:
         )
 
 
-def _engine_arrays(g: VicsekGraph) -> dict:
-    """Non-sink adjacency (CSR) and sink adjacency counts, cached per graph."""
-    if g._engine_cache is None:
-        s = g.sink_index
-        n = g.num_vertices - 1
-        rows, cols = [], []
-        sink_row = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            for w in g.neighbors[v]:
-                if w == s:
-                    sink_row[v] += 1
-                else:
-                    rows.append(v)
-                    cols.append(w)
-        adj = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n, n)
-        )
-        g._engine_cache = {
-            "adj": adj,
-            "sink_row": sink_row,
-            "deg": g.degrees[:n].copy(),
-        }
-    return g._engine_cache
-
-
 def _check_config(g: VicsekGraph, c: SandpileConfig) -> None:
     if len(c.heights) != g.num_vertices - 1:
         raise ValueError(
@@ -196,8 +170,7 @@ def stabilize(g: VicsekGraph, c: SandpileConfig) -> tuple[SandpileConfig, Avalan
     """Perform legal topplings until stable; returns the stable configuration
     and the avalanche report.  Terminates on any finite graph with a sink."""
     _check_config(g, c)
-    arrays = _engine_arrays(g)
-    deg, adj = arrays["deg"], arrays["adj"]
+    deg, adj = g.degrees[:-1], g.nonsink_adjacency
     heights = c.heights.copy()
     # total mass is conserved, so no height can ever exceed the initial sum
     if heights[heights > 0].sum() > _OVERFLOW_LIMIT:
@@ -211,9 +184,9 @@ def stabilize(g: VicsekGraph, c: SandpileConfig) -> tuple[SandpileConfig, Avalan
         heights -= fire * deg
         heights += adj.dot(fire)
         odometer += fire
-    sink_particles = int(arrays["sink_row"] @ odometer)
-    # mass conservation: what left the heights arrived at the sink
-    assert c.heights.sum() == heights.sum() + sink_particles
+    sink_particles = int(g.sink_degrees @ odometer)
+    if c.heights.sum() != heights.sum() + sink_particles:
+        raise RuntimeError("stabilization lost mass: what left the heights missed the sink")
     return SandpileConfig(heights), AvalancheReport(g, odometer, sink_particles)
 
 

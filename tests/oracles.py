@@ -25,6 +25,22 @@ def nx_graph(g: VicsekGraph) -> nx.Graph:
     return G
 
 
+def five_copy_union(level: int) -> tuple[set, set]:
+    """Vertex and edge sets of the level-n Vicsek graph as the union of five
+    shifted copies of the level-(n-1) sets, edges as coordinate frozensets."""
+    base = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    verts = set(base)
+    edges = {frozenset((a, b)) for i, a in enumerate(base) for b in base[i + 1 :]}
+    for k in range(1, level + 1):
+        s = 3 ** (k - 1)
+        offsets = [(0, 0), (s, s), (2 * s, 0), (0, 2 * s), (2 * s, 2 * s)]
+        verts = {(x + dx, y + dy) for dx, dy in offsets for x, y in verts}
+        edges = {
+            frozenset((a[0] + dx, a[1] + dy) for a in e) for dx, dy in offsets for e in edges
+        }
+    return verts, {tuple(e) for e in edges}
+
+
 def random_order_stabilize(g: VicsekGraph, c: SandpileConfig, rng: np.random.Generator):
     """Stabilize by repeatedly toppling one uniformly chosen unstable vertex.
 

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import vicsek_sandpile
 from vicsek_sandpile import (
     ChainEvent,
     SandpileConfig,
@@ -21,7 +22,7 @@ from vicsek_sandpile import (
     transient_mass,
     transition_matrix,
 )
-from vicsek_sandpile.chain import STATES, SingularMatrixError, TransitionMatrix
+from vicsek_sandpile.chain import _BLOCK_TRIALS, STATES, SingularMatrixError, TransitionMatrix
 from vicsek_sandpile.fractal_graph import has_ternary_digit_two
 
 F = Fraction
@@ -87,6 +88,14 @@ def test_absorption_singular_detection():
         tuple(F(1) if i == j else F(0) for j in range(5)) for i in range(5)
     )
     with pytest.raises(SingularMatrixError):
+        absorption_probabilities(TransitionMatrix(rows=frozen))
+
+
+def test_singular_absorption_raises_the_package_error():
+    frozen = tuple(
+        tuple(F(1) if i == j else F(0) for j in range(5)) for i in range(5)
+    )
+    with pytest.raises(vicsek_sandpile.SingularMatrixError):
         absorption_probabilities(TransitionMatrix(rows=frozen))
 
 
@@ -364,6 +373,18 @@ def test_monte_carlo_workers_deterministic():
     two = monte_carlo_stabilization("chain", 3, 5000, rng=7, workers=2)
     assert one.as_dict() == two.as_dict()
     assert one.stabilized + one.exploded + one.truncated == 5000
+
+
+def test_monte_carlo_counts_independent_of_workers():
+    # two and a half blocks of trials in each mode, so that the workers share
+    # the blocks unevenly
+    for mode, level in (("chain", 2), ("sandpile", 1)):
+        trials = 5 * _BLOCK_TRIALS[mode] // 2
+        one, two, three = (
+            monte_carlo_stabilization(mode, level, trials, rng=7, workers=w).as_dict()
+            for w in (1, 2, 3)
+        )
+        assert one == two == three, mode
 
 
 def test_monte_carlo_validation():

@@ -18,7 +18,7 @@ from vicsek_sandpile import (
 )
 from vicsek_sandpile.fractal_graph import descendants, ternary_digits
 
-from .oracles import nx_graph
+from .oracles import five_copy_union, nx_graph
 
 
 @pytest.mark.parametrize("level", range(6))
@@ -50,18 +50,53 @@ def test_adjacency_symmetric(g2):
             assert v in g2.neighbors[w]
 
 
-@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_copy_registry(level):
-    # one complete diagonal block per unit step, vertices in canonical roles
+    # the block table: one K4 clique per unit square, corners in canonical
+    # order; the diagonal rows are K^1 .. K^(3^n)
     g = build(level)
-    assert len(g.copy_registry) == 3**level
-    for i, block in enumerate(g.copy_registry, start=1):
+    assert g.blocks.shape == (5**level, 4)
+    diagonal = []
+    for block in g.blocks.tolist():
+        x, y = g.vertices[block[0]]
         coords = [g.vertices[v] for v in block]
-        assert coords == [(i - 1, i - 1), (i - 1, i), (i, i - 1), (i, i)]
+        assert coords == [(x, y), (x, y + 1), (x + 1, y), (x + 1, y + 1)]
         for a in block:
-            for b in block:
-                if a != b:
-                    assert b in g.neighbors[a]
+            assert set(g.neighbors[a]) >= set(block) - {a}
+        if x == y:
+            diagonal.append(coords)
+    assert 6 * len(g.blocks) == g.num_edges  # every edge lies in one block
+    assert diagonal == [
+        [(i - 1, i - 1), (i - 1, i), (i, i - 1), (i, i)] for i in range(1, 3**level + 1)
+    ]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_block_roots(level):
+    # each block's root is its unique corner nearest the sink; the other
+    # three corners of all blocks partition the non-sink vertices
+    g = build(level)
+    dist = g.distance_to_sink()
+    for block, root in zip(g.blocks.tolist(), g.block_roots.tolist()):
+        assert root in block
+        assert all(dist[v] == dist[root] + 1 for v in block if v != root)
+    others = g.blocks[g.blocks != g.block_roots[:, None]]
+    assert sorted(others.tolist()) == list(range(g.num_vertices - 1))
+    assert g.sink_index in g.block_roots.tolist()
+    assert len(set(g.block_roots.tolist())) == len(g.blocks)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_build_matches_five_copy_union(level):
+    g = build(level)
+    vertices, edges = five_copy_union(level)
+    assert g.vertices == sorted(vertices)
+    for v, w in edges:
+        assert w in g.neighbors_of(v) and v in g.neighbors_of(w)
+    assert g.num_edges == len(edges)
+    assert all(lst == sorted(lst) for lst in g.neighbors)
+    assert np.array_equal(g.nbr_indices, [w for lst in g.neighbors for w in lst])
+    assert np.array_equal(np.diff(g.indptr), g.degrees)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])

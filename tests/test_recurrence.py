@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -20,6 +21,7 @@ from vicsek_sandpile import (
     tree_to_config,
     wilson_ust,
 )
+from vicsek_sandpile import recurrence
 from vicsek_sandpile.recurrence import EdgeOrder, PermutedEdgeOrder, SpanningTree
 
 from .oracles import k4_spanning_trees
@@ -40,6 +42,17 @@ def test_enumerate_recurrent_k4_exact_set():
     assert got == RECURRENT_K4
     assert (2, 2, 2) in got and (1, 2, 0) in got
     assert (0, 0, 0) not in got
+
+
+def test_enumerate_recurrent_k4_cached(monkeypatch):
+    first = enumerate_recurrent_k4()
+
+    def no_burning(*args):
+        raise AssertionError("the cached table ran the burning test again")
+
+    monkeypatch.setattr(recurrence, "is_recurrent", no_burning)
+    first[0].heights[:] = 0  # a caller's copy; the cached table is untouched
+    assert {c.as_tuple() for c in enumerate_recurrent_k4()} == RECURRENT_K4
 
 
 def test_burning_counts_over_stable_triples(g0):
@@ -151,7 +164,7 @@ def test_bijection_injective_on_sampled_level1_trees(g1):
 
 
 def test_sample_recurrent_always_recurrent(rng):
-    for level in (0, 1, 2):
+    for level in (0, 1, 2, 3):
         g = build(level)
         for _ in range(10):
             assert is_recurrent(g, sample_recurrent(g, rng))
@@ -165,6 +178,27 @@ def test_sample_recurrent_uniform_on_k4(g0):
         counts[sample_recurrent(g0, rng).as_tuple()] += 1
     chi2 = sum((c - draws / 16) ** 2 / (draws / 16) for c in counts.values())
     assert stats.chi2.sf(chi2, df=15) > 0.001
+
+
+def test_sample_recurrent_matches_wilson_off_diagonal(g1):
+    """Two-sample chi-squared test on the joint heights of off-diagonal
+    vertices: two non-root corners of the bottom-right block, its root (2, 1)
+    (a cutpoint of the middle block), and a corner of the top-left block.
+    The block sampler must give the law of Wilson's algorithm plus the
+    burning bijection."""
+    rng = np.random.default_rng(29)
+    watched = [g1.vertex_index(v) for v in ((2, 0), (3, 0), (2, 1), (0, 3))]
+    draws = 4000
+    block = Counter(
+        tuple(sample_recurrent(g1, rng).heights[watched]) for _ in range(draws)
+    )
+    wilson = Counter(
+        tuple(tree_to_config(g1, wilson_ust(g1, rng)).heights[watched])
+        for _ in range(draws)
+    )
+    keys = sorted(block.keys() | wilson.keys())
+    table = [[block[k] for k in keys], [wilson[k] for k in keys]]
+    assert stats.chi2_contingency(table).pvalue > 0.001
 
 
 def _block_local_sample(g, eta, j):
