@@ -73,6 +73,8 @@ def config_from_json(data: dict) -> tuple[int, SandpileConfig]:
     c = SandpileConfig(data["heights"])
     if len(c.heights) != 3 * 5**level:
         raise ValueError("height count does not match the level")
+    if (c.heights < 0).any():
+        raise ValueError("heights must be non-negative")
     return level, c
 
 

@@ -128,14 +128,18 @@ class VicsekGraph:
         return int(self.degrees.sum()) // 2
 
     @cached_property
-    def nonsink_adjacency(self) -> sp.csr_matrix:
-        """Adjacency matrix among the non-sink vertices (the sink is last)."""
+    def adjacency(self) -> sp.csr_matrix:
+        """Adjacency matrix of the whole graph, sink included."""
         n = self.num_vertices
-        full = sp.csr_matrix(
+        return sp.csr_matrix(
             (np.ones(len(self.nbr_indices), dtype=np.int64), self.nbr_indices, self.indptr),
             shape=(n, n),
         )
-        return full[:-1, :-1]
+
+    @cached_property
+    def nonsink_adjacency(self) -> sp.csr_matrix:
+        """Adjacency matrix among the non-sink vertices (the sink is last)."""
+        return self.adjacency[:-1, :-1]
 
     @cached_property
     def sink_degrees(self) -> np.ndarray:
@@ -150,6 +154,21 @@ class VicsekGraph:
         the rest of the block tree on the sink's side, or the sink itself."""
         corner = self.distance_to_sink()[self.blocks].argmin(axis=1)
         return self.blocks[np.arange(len(self.blocks)), corner]
+
+    @cached_property
+    def block_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The blocks grouped by the depth of their root in the block tree,
+        deepest first, the order in which leaves-first sweeps visit them: per
+        depth, the blocks' roots and, row by row, their three other corners.
+        Every non-sink vertex is a non-root corner of exactly one block."""
+        roots = self.block_roots
+        corners = self.blocks[self.blocks != roots[:, None]].reshape(-1, 3)
+        depth = self.distance_to_sink()[roots]
+        levels = []
+        for d in range(depth.max(), -1, -1):
+            rows = np.flatnonzero(depth == d)
+            levels.append((roots[rows], corners[rows]))
+        return tuple(levels)
 
     def contains(self, v: Coord) -> bool:
         return v in self.index

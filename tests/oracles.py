@@ -6,6 +6,7 @@ structural queries, so that agreement with the engine is meaningful.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -65,6 +66,69 @@ def random_order_stabilize(g: VicsekGraph, c: SandpileConfig, rng: np.random.Gen
             else:
                 heights[w] += 1
     return SandpileConfig(heights), odometer, sink_particles
+
+
+def round_stabilize(g: VicsekGraph, c: SandpileConfig):
+    """Stabilize in parallel rounds from no head start: each round fires
+    every vertex floor(height / degree) times at once.  Every round is a
+    batch of legal topplings, and there is one round per unit of the
+    largest odometer entry.
+
+    Returns (stable SandpileConfig, odometer array, particles at the sink).
+    """
+    deg, adj = g.degrees[:-1], g.nonsink_adjacency
+    heights = c.heights.copy()
+    odometer = np.zeros_like(heights)
+    while True:
+        fire = np.maximum(heights // deg, 0)
+        if not fire.any():
+            break
+        heights -= fire * deg
+        heights += adj.dot(fire)
+        odometer += fire
+    return SandpileConfig(heights), odometer, int(g.sink_degrees @ odometer)
+
+
+def exact_laplacian_solve(g: VicsekGraph, b) -> list[Fraction]:
+    """z with L z = b for the reduced Laplacian L, by Gauss-Jordan
+    elimination in exact rationals on the dense matrix built from the
+    neighbour lists."""
+    n = g.num_vertices - 1
+    rows = []
+    for v in range(n):
+        row = [Fraction(0)] * n + [Fraction(int(b[v]))]
+        row[v] = Fraction(len(g.neighbors[v]))
+        for w in g.neighbors[v]:
+            if w != g.sink_index:
+                row[w] -= 1
+        rows.append(row)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
+
+
+def exact_least_action_stabilize(g: VicsekGraph, c: SandpileConfig):
+    """round_stabilize from the exact least-action bound.
+
+    The odometer o of h satisfies L o >= h - (deg - 1) and L^-1 >= 0, so
+    o >= ceil(z) with z = L^-1 (h - (deg - 1)) solved in exact rationals.
+    Firing u0 = max(ceil(z), 0) first and then running the rounds gives the
+    same result and odometer (least action principle).  This reaches piles
+    far too large for the rounds alone, with no floats and no margin.
+    """
+    b = c.heights - (g.degrees[:-1] - 1)
+    u0 = np.array([max(math.ceil(x), 0) for x in exact_laplacian_solve(g, b)], dtype=np.int64)
+    fired = c.heights - g.degrees[:-1] * u0 + g.nonsink_adjacency.dot(u0)
+    out, odometer, _ = round_stabilize(g, SandpileConfig(fired))
+    odometer = odometer + u0
+    return out, odometer, int(g.sink_degrees @ odometer)
 
 
 def subgraph_stabilize(g: VicsekGraph, heights_map: dict, active: set, sink_vertex):

@@ -188,6 +188,8 @@ def test_config_json_roundtrip():
         config_from_json({"level": 1, "order": "other", "heights": [0] * 15})
     with pytest.raises(ValueError):
         config_from_json({"level": 1, "order": "lex-xy", "heights": [0] * 7})
+    with pytest.raises(ValueError, match="non-negative"):
+        config_from_json({"level": 1, "order": "lex-xy", "heights": [0] * 14 + [-1]})
 
 
 def test_usage_error_from_argparse(capsys):

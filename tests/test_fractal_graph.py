@@ -84,6 +84,15 @@ def test_block_roots(level):
     assert sorted(others.tolist()) == list(range(g.num_vertices - 1))
     assert g.sink_index in g.block_roots.tolist()
     assert len(set(g.block_roots.tolist())) == len(g.blocks)
+    # block_levels lists every block once, each before the block its root is
+    # a non-root corner of, as leaves-first sweeps need
+    level_of_corner = {
+        v: i for i, (_, corners) in enumerate(g.block_levels) for v in corners.ravel().tolist()
+    }
+    assert sorted(level_of_corner) == list(range(g.num_vertices - 1))
+    assert sum(len(roots) for roots, _ in g.block_levels) == len(g.blocks)
+    for i, (roots, _) in enumerate(g.block_levels):
+        assert all(r == g.sink_index or level_of_corner[r] > i for r in roots.tolist())
 
 
 @pytest.mark.parametrize("level", range(5))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vicsek_sandpile import (
     SandpileConfig,
@@ -20,8 +21,14 @@ from vicsek_sandpile import (
     untopple,
 )
 from vicsek_sandpile.identity import identity
+from vicsek_sandpile.sandpile import _laplacian, _odometer_lower_bound, _solve_times_four
 
-from .oracles import nested_volume_counts, random_order_stabilize
+from .oracles import (
+    exact_least_action_stabilize,
+    nested_volume_counts,
+    random_order_stabilize,
+    round_stabilize,
+)
 
 
 def test_topple_example(g0):
@@ -110,6 +117,77 @@ def test_abelian_order_independence(g2, rng):
             assert ref_out == engine_out
             assert np.array_equal(ref_odo, engine_rep.odometer)
             assert ref_sink == engine_rep.sink_particles
+
+
+# random_order_stabilize takes one Python step per toppling; above this many
+# topplings only the round oracle runs
+RANDOM_ORDER_BUDGET = 50_000
+
+
+@st.composite
+def stabilize_cases(draw):
+    """(graph, configuration, kind): random heights from -5 to 40, k*eta for
+    a uniform recurrent eta and k <= 8, identity + eta, or a pile of about
+    2^38 or 2^40 particles on one level-1 vertex over small heights."""
+    kind = draw(st.sampled_from(["random", "multiple", "identity", "pile"]))
+    g = build(1 if kind == "pile" else draw(st.integers(0, 3)))
+    n = g.num_vertices - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        heights = rng.integers(-5, 41, size=n)
+    elif kind == "multiple":
+        heights = sample_recurrent(g, rng).heights * draw(st.integers(1, 8))
+    elif kind == "identity":
+        heights = (identity(g.level) + sample_recurrent(g, rng)).heights
+    else:
+        heights = rng.integers(0, 4, size=n)
+        heights[draw(st.integers(0, n - 1))] += draw(st.sampled_from([2**38, 2**40 - 64]))
+    return g, SandpileConfig(heights), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(stabilize_cases(), st.integers(0, 2**32 - 1))
+def test_stabilize_matches_oracles(case, seed):
+    """The warm-started engine against the plain rounds and single random
+    legal topplings: heights, odometer and sink particles.  The piles are
+    far beyond both; their reference is the rounds started from the least
+    action bound solved in exact rationals."""
+    g, c, kind = case
+    out, rep = stabilize(g, c)
+    refs = []
+    if kind == "pile":
+        refs.append(exact_least_action_stabilize(g, c))
+    else:
+        refs.append(round_stabilize(g, c))
+        if rep.odometer.sum() <= RANDOM_ORDER_BUDGET:
+            refs.append(random_order_stabilize(g, c, np.random.default_rng(seed)))
+    for ref_out, ref_odometer, ref_sink in refs:
+        assert out == ref_out
+        assert np.array_equal(rep.odometer, ref_odometer)
+        assert rep.sink_particles == ref_sink
+    # the head start stops short of the odometer by at most the gap
+    # L^-1 ((deg - 1) - stable) that the rounds are left with
+    lower = _odometer_lower_bound(g, c.heights)
+    assert np.all((lower >= 0) & (lower <= rep.odometer))
+    gap4 = _solve_times_four(g, g.degrees[:-1] - 1 - out.heights)
+    assert np.all(4 * (rep.odometer - lower) <= gap4)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_solve_times_four_is_exact(level):
+    """4 L^-1 is an integer matrix, and the block-tree sweeps apply it
+    exactly: L solve(b) equals 4b in int64, for unit vectors and large b."""
+    g = build(level)
+    n = g.num_vertices - 1
+    rng = np.random.default_rng(level)
+    cases = [np.eye(n, dtype=np.int64)[i] for i in rng.choice(n, size=min(n, 20), replace=False)]
+    cases += [np.ones(n, dtype=np.int64), rng.integers(-(2**40), 2**40, size=n)]
+    for b in cases:
+        assert np.array_equal(_laplacian(g, _solve_times_four(g, b)), 4 * b)
+    if level <= 2:
+        dense = np.diag(g.degrees[:-1]) - g.nonsink_adjacency.toarray()
+        columns = np.stack([_solve_times_four(g, e) for e in np.eye(n, dtype=np.int64)], axis=1)
+        assert np.allclose(columns, 4 * np.linalg.inv(dense), rtol=0, atol=1e-9)
 
 
 def test_branch_invariance(g2, rng):
