@@ -29,8 +29,8 @@ import numpy as np
 
 from .critical_group import SingularMatrixError
 from .fractal_graph import build, has_ternary_digit_two, kappa
-from .recurrence import _as_generator, _recurrent_k4_table, enumerate_recurrent_k4
-from .sandpile import SandpileConfig, _chain_flow, stabilize
+from .recurrence import _as_generator, enumerate_recurrent_k4
+from .sandpile import _K4_RECURRENT, SandpileConfig, _chain_flow, stabilize
 
 STATES = (0, 1, 2, 3, 4)
 
@@ -394,12 +394,11 @@ def _run_chain_trials(trials: int, max_steps: int, rng: np.random.Generator, lut
 
 def _run_sandpile_trials(trials: int, level: int, rng: np.random.Generator) -> tuple[int, int, int]:
     m = 3**level
-    table = _recurrent_k4_table()
-    picks = rng.integers(0, len(table), size=(trials, m))
+    picks = rng.integers(0, len(_K4_RECURRENT), size=(trials, m))
     # chain ids of block j: bottom-left 3j, top-left 3j+1, bottom-right 3j+2,
     # the same order as the table's (0,0), (0,1), (1,0) columns
     heights = np.zeros((trials, 3 * m + 1), dtype=np.int64)
-    heights[:, : 3 * m] = table[picks].reshape(trials, 3 * m)
+    heights[:, : 3 * m] = _K4_RECURRENT[picks].reshape(trials, 3 * m)
     heights[:, 3 : 3 * m : 3] += 3  # gluing at the interior cutpoints
     heights[:, 0] += 1  # the added particle at the origin
     last = np.array(

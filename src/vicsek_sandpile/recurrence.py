@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .fractal_graph import VicsekGraph, build
-from .sandpile import SandpileConfig, is_stable, stabilize
+from .sandpile import _K4_RECURRENT, SandpileConfig, is_stable, stabilize
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -118,22 +118,18 @@ def is_recurrent(g: VicsekGraph, c: SandpileConfig) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _recurrent_k4_table() -> np.ndarray:
-    """The 16 recurrent level-0 triples as rows, in the order the burning
-    test finds them among the 27 stable triples; read-only, computed once."""
+def _burning_k4_table() -> tuple[tuple[int, ...], ...]:
+    """The 16 recurrent level-0 triples in the order the burning test finds
+    them among the 27 stable triples; computed once."""
     g = build(0)
-    table = np.array(
-        [h for h in product(range(3), repeat=3) if is_recurrent(g, SandpileConfig(h))],
-        dtype=np.int64,
-    )
-    table.flags.writeable = False
-    return table
+    return tuple(h for h in product(range(3), repeat=3) if is_recurrent(g, SandpileConfig(h)))
 
 
 def enumerate_recurrent_k4() -> list[SandpileConfig]:
     """All recurrent configurations of the level-0 graph (sink top-right),
-    found by the burning test over the 27 stable triples."""
-    return [SandpileConfig(h) for h in _recurrent_k4_table()]
+    found by the burning test over the 27 stable triples; the samplers'
+    table of them is ``sandpile._K4_RECURRENT``, read off Dhar's criterion."""
+    return [SandpileConfig(h) for h in _burning_k4_table()]
 
 
 def tree_to_config(
@@ -219,11 +215,10 @@ def sample_recurrent(g: VicsekGraph, rng) -> SandpileConfig:
     recurrent K4 configuration per block on its three non-root corners (in
     canonical order), plus three particles at every non-sink block root."""
     rng = _as_generator(rng)
-    table = _recurrent_k4_table()
     roots = g.block_roots
     others = g.blocks[g.blocks != roots[:, None]].reshape(-1, 3)
     heights = np.zeros(g.num_vertices, dtype=np.int64)
-    heights[others] = table[rng.integers(0, len(table), size=len(g.blocks))]
+    heights[others] = _K4_RECURRENT[rng.integers(0, len(_K4_RECURRENT), size=len(g.blocks))]
     heights[roots] += 3
     return SandpileConfig(heights[:-1])
 
@@ -235,9 +230,8 @@ def sample_ivl_diagonal(m: int, rng) -> list[SandpileConfig]:
     if m < 1:
         raise ValueError("need at least one block")
     rng = _as_generator(rng)
-    table = enumerate_recurrent_k4()
-    picks = rng.integers(0, len(table), size=m)
-    return [table[i] for i in picks]
+    picks = rng.integers(0, len(_K4_RECURRENT), size=m)
+    return [SandpileConfig(_K4_RECURRENT[i]) for i in picks]
 
 
 def assemble_diagonal(g: VicsekGraph, parts: list[SandpileConfig]) -> SandpileConfig:

@@ -8,18 +8,24 @@ leaving the system.  Stabilization performs legal topplings until no vertex
 is unstable; by the Abelian property the result and the per-vertex topple
 counts (the odometer) do not depend on the order.
 
-The stabilizer first takes a head start from the least action principle
+When the heights' total exceeds that of the maximal stable configuration,
+sum(deg - 1), the surplus must leave through the sink and the avalanche is
+large.  Then the stabilizer reads the result off the block tree first.  The
+sandpile group is the direct sum of the K4 blocks' groups, so a leaves-first
+sweep that fires whole subtrees finds the one recurrent configuration r
+equivalent to the heights h; eliminating the blocks leaves-first gives
+u = L^-1 (h - r) exactly in int64 for the reduced Laplacian L.  If u >= 0,
+r and u are the stable result and the odometer (proof in ``stabilize``);
+that is so exactly when the result is recurrent, as for sums of recurrent
+configurations and multiples of them.
+
+Otherwise the stabilizer takes a head start from the least action principle
 (Fey, Levine and Peres, arXiv:0901.3805): if 0 <= u0 <= odometer, firing u0
 at once and then toppling legally ends in the same stable configuration with
-the same odometer.  The reduced Laplacian L is an M-matrix, so L^-1 >= 0,
-and the stable end s = h - L odometer has s <= deg - 1; hence the odometer
-is at least z = L^-1 (h - (deg - 1)), and u0 = max(ceil(z), 0).
-Eliminating the K4 blocks leaves-first in the block tree gives 4z exactly in
-int64, so the head start needs no margin.  It is taken only when the
-heights' total exceeds that of the maximal stable configuration,
-sum(deg - 1): then the surplus must leave through the sink and the
-avalanche is large.  It leaves the rounds the gap L^-1 ((deg - 1) - s),
-which does not grow with the mass.
+the same odometer.  L is an M-matrix, so L^-1 >= 0, and the stable end
+s = h - L odometer has s <= deg - 1; hence the odometer is at least
+z = L^-1 (h - (deg - 1)), and u0 = max(ceil(z), 0).  It leaves the rounds
+the gap L^-1 ((deg - 1) - s), which does not grow with the mass.
 
 The rest fires all currently unstable vertices in rounds, firing each
 vertex floor(height/deg) times at once; every one of those topplings is
@@ -32,12 +38,35 @@ test suite as the references the engine is checked against.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
 from .fractal_graph import Coord, VicsekGraph
 
 _OVERFLOW_LIMIT = np.int64(2) ** 40
+
+# The 16 recurrent configurations of K4 with one corner as the sink, as
+# triples in product order.  A stable triple is recurrent exactly when no
+# set F of its vertices has every height below deg_F = |F| - 1 (Dhar's
+# forbidden subconfigurations), that is when its sorted heights are at
+# least (0, 1, 2).  The sandpile samplers draw from this table.
+_K4_RECURRENT = np.array(
+    [t for t in product(range(3), repeat=3) if all(h >= i for i, h in enumerate(sorted(t)))],
+    dtype=np.int64,
+)
+_K4_RECURRENT.flags.writeable = False
+
+
+def _k4_class(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class of K4 triples q (rows) modulo (4I - J) Z^3 = 4 Z^3 + Z 1,
+    a lattice of index 16: the differences to the last entry mod 4."""
+    return (q[..., 0] - q[..., 2]) % 4, (q[..., 1] - q[..., 2]) % 4
+
+
+# _K4_BY_CLASS[_k4_class(q)] is the recurrent triple equivalent to q
+_K4_BY_CLASS = np.empty((4, 4, 3), dtype=np.int64)
+_K4_BY_CLASS[_k4_class(_K4_RECURRENT)] = _K4_RECURRENT
 
 
 class SandpileConfig:
@@ -94,17 +123,22 @@ class SandpileConfig:
 
 class AvalancheReport:
     """Accounting for one stabilization: odometer, toppled set, diameter,
-    and the number of particles delivered to the sink.
+    the number of particles delivered to the sink, and the number of toppling
+    rounds the engine ran after its one-step fire (0 when the result was
+    read off the block tree).
 
     The diameter (largest pairwise graph distance over the toppled set) is
     computed on first access: -1 for an empty toppled set, 0 for a single
     vertex.
     """
 
-    def __init__(self, graph: VicsekGraph, odometer: np.ndarray, sink_particles: int):
+    def __init__(
+        self, graph: VicsekGraph, odometer: np.ndarray, sink_particles: int, rounds: int = 0
+    ):
         self.graph = graph
         self.odometer = odometer
         self.sink_particles = int(sink_particles)
+        self.rounds = rounds
 
     @cached_property
     def toppled_indices(self) -> np.ndarray:
@@ -229,19 +263,58 @@ def _odometer_lower_bound(g: VicsekGraph, heights: np.ndarray) -> np.ndarray:
     return np.maximum(-(-_solve_times_four(g, b) >> 2), 0)
 
 
+def _recurrent_representative(g: VicsekGraph, heights: np.ndarray) -> np.ndarray:
+    """The recurrent configuration r equivalent to heights modulo L Z^n, in
+    one leaves-first sweep over the block tree.
+
+    Firing a corner c of a block together with everything hanging from it
+    moves mass only inside the block: c loses 3 and the block's other three
+    vertices gain 1 each.  So a block's three non-root corners can move
+    their local triple q by any vector of (4I - J) Z^3, passing the change
+    in its total on to the root.  Per block, deepest first, q is the heights
+    at the corners, as updated from below, less the 3 that every non-sink
+    root carries in a recurrent configuration; it is replaced by the
+    recurrent triple of its class.  The result is a recurrent K4 triple on
+    every block plus 3 at every non-sink root, which is recurrent (see
+    ``recurrence``).
+    """
+    glue = np.zeros(g.num_vertices, dtype=np.int64)
+    glue[g.block_roots] = 3  # the sink's entry is dropped with the sink
+    local = np.append(heights, 0) - glue
+    for roots, corners in g.block_levels:
+        q = local[corners]
+        t = _K4_BY_CLASS[_k4_class(q)]
+        local[roots] += (q - t).sum(axis=1)
+        local[corners] = t
+    return (local + glue)[:-1]
+
+
 def stabilize(g: VicsekGraph, c: SandpileConfig) -> tuple[SandpileConfig, AvalancheReport]:
     """Perform legal topplings until stable; returns the stable configuration
     and the avalanche report.  Terminates on any finite graph with a sink.
 
-    Heights whose total exceeds that of the maximal stable configuration
-    first fire a lower bound u0 on the odometer o in one step (see
-    _odometer_lower_bound); the rounds then finish from h - L u0.  By the
-    least action principle this gives the same stable configuration and the
-    same odometer as legal toppling from h: the odometer o' of h - L u0 is
-    at most o - u0, because firing o - u0 from there reaches the stable
-    h - L o, and u0 + o' is at least o, because h - L (u0 + o') is stable.
-    Below that total the avalanche need not reach the sink, and the rounds
-    start from nothing.
+    Heights h whose total exceeds that of the maximal stable configuration
+    are first compared with their recurrent representative r: u = L^-1 (h - r)
+    is an integer vector, and if u >= 0 then r is the stable result and u
+    the odometer.  Proof: r = h - L u is stable, so by the least action
+    principle the odometer o is at most u.  Then w = u - o >= 0 and the
+    stable result is s = r + L w.  If w != 0, let F be the set where w is
+    largest.  For v in F, every neighbour outside F (the sink, where w = 0,
+    included) has smaller w, so (L w)_v >= deg v - deg_F v and
+    r_v = s_v - (L w)_v <= deg_F v - 1: F would be a forbidden
+    subconfiguration (Dhar) of the recurrent r.  Hence o = u and s = r.
+    Conversely a recurrent result equals r, the one recurrent configuration
+    of its class, and then o = u >= 0; so this path is taken exactly when
+    the result is recurrent.
+
+    Otherwise the engine fires a lower bound u0 on the odometer o in one
+    step (see _odometer_lower_bound); the rounds then finish from h - L u0.
+    By the least action principle this gives the same stable configuration
+    and the same odometer as legal toppling from h: the odometer o' of
+    h - L u0 is at most o - u0, because firing o - u0 from there reaches the
+    stable h - L o, and u0 + o' is at least o, because h - L (u0 + o') is
+    stable.  Below that total the avalanche need not reach the sink, and the
+    rounds start from nothing.
     """
     _check_config(g, c)
     deg, adj = g.degrees[:-1], g.nonsink_adjacency
@@ -250,11 +323,18 @@ def stabilize(g: VicsekGraph, c: SandpileConfig) -> tuple[SandpileConfig, Avalan
     if heights[heights > 0].sum() > _OVERFLOW_LIMIT:
         raise OverflowError("sandpile mass exceeds the engine limit")
     mass = heights.sum()
+    odometer = np.zeros_like(heights)
     if mass > deg.sum() - len(deg) and heights.min() >= -_OVERFLOW_LIMIT:
-        odometer = _odometer_lower_bound(g, heights)
-        heights -= _laplacian(g, odometer)
-    else:
-        odometer = np.zeros_like(heights)
+        recurrent = _recurrent_representative(g, heights)
+        u4 = _solve_times_four(g, heights - recurrent)
+        if np.any(u4 & 3):
+            raise RuntimeError("the recurrent representative is not equivalent to the heights")
+        if u4.min() >= 0:
+            heights, odometer = recurrent, u4 >> 2
+        else:
+            odometer = _odometer_lower_bound(g, heights)
+            heights -= _laplacian(g, odometer)
+    rounds = 0
     while True:
         fire = heights // deg
         np.maximum(fire, 0, out=fire)
@@ -263,10 +343,11 @@ def stabilize(g: VicsekGraph, c: SandpileConfig) -> tuple[SandpileConfig, Avalan
         heights -= fire * deg
         heights += adj.dot(fire)
         odometer += fire
+        rounds += 1
     sink_particles = int(g.sink_degrees @ odometer)
     if mass != heights.sum() + sink_particles:
         raise RuntimeError("stabilization lost mass: what left the heights missed the sink")
-    return SandpileConfig(heights), AvalancheReport(g, odometer, sink_particles)
+    return SandpileConfig(heights), AvalancheReport(g, odometer, sink_particles, rounds)
 
 
 def add_particles(g: VicsekGraph, c: SandpileConfig, v: Coord, k: int) -> SandpileConfig:

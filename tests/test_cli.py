@@ -166,6 +166,15 @@ def test_identity_verify_flag(capsys):
     assert data["verification"]["sink_particles_mod4"] == 2
 
 
+def test_identity_verify_level_four(capsys):
+    code, out, _ = run(capsys, "identity", "--level", "4", "--verify", "5")
+    data = json.loads(out)
+    assert code == 0
+    assert data["verification"]["samples"] == 5
+    assert all(data["verification"]["clauses"].values())
+    assert len(data["verification"]["clauses"]) == 5
+
+
 def test_verification_exit_code(capsys, monkeypatch):
     import vicsek_sandpile.cli as cli_mod
     from vicsek_sandpile import VerificationError

@@ -23,6 +23,7 @@ from vicsek_sandpile import (
 )
 from vicsek_sandpile import recurrence
 from vicsek_sandpile.recurrence import EdgeOrder, PermutedEdgeOrder, SpanningTree
+from vicsek_sandpile.sandpile import _K4_RECURRENT, _k4_class
 
 from .oracles import k4_spanning_trees
 
@@ -53,6 +54,15 @@ def test_enumerate_recurrent_k4_cached(monkeypatch):
     monkeypatch.setattr(recurrence, "is_recurrent", no_burning)
     first[0].heights[:] = 0  # a caller's copy; the cached table is untouched
     assert {c.as_tuple() for c in enumerate_recurrent_k4()} == RECURRENT_K4
+
+
+def test_k4_table_is_the_burning_table():
+    """The samplers' table, read off Dhar's criterion, holds the triples the
+    burning test finds, in the same order, and the 16 lie in distinct
+    classes modulo (4I - J) Z^3, so the class lookup is a bijection."""
+    table = [tuple(t) for t in _K4_RECURRENT.tolist()]
+    assert table == [c.as_tuple() for c in enumerate_recurrent_k4()]
+    assert len(set(zip(*(k.tolist() for k in _k4_class(_K4_RECURRENT))))) == 16
 
 
 def test_burning_counts_over_stable_triples(g0):

@@ -21,7 +21,13 @@ from vicsek_sandpile import (
     untopple,
 )
 from vicsek_sandpile.identity import identity
-from vicsek_sandpile.sandpile import _laplacian, _odometer_lower_bound, _solve_times_four
+from vicsek_sandpile.recurrence import is_recurrent
+from vicsek_sandpile.sandpile import (
+    _laplacian,
+    _odometer_lower_bound,
+    _recurrent_representative,
+    _solve_times_four,
+)
 
 from .oracles import (
     exact_least_action_stabilize,
@@ -124,13 +130,36 @@ def test_abelian_order_independence(g2, rng):
 RANDOM_ORDER_BUDGET = 50_000
 
 
+def burns(g, c):
+    """Dhar's burning test run with the plain rounds: c is recurrent when
+    adding the sink's edges topples every vertex once and returns c."""
+    out, odometer, _ = round_stabilize(g, SandpileConfig(c.heights + g.sink_degrees))
+    return out == c and bool(np.all(odometer == 1))
+
+
+def maximal_with_emptied_origin_block(g, bump_at):
+    """The maximal stable configuration with (0,0), (0,1), (1,0) at 0 and 10
+    particles added at vertex index bump_at: 4 above the maximal total."""
+    heights = g.degrees[:-1] - 1
+    heights[[g.vertex_index(v) for v in [(0, 0), (0, 1), (1, 0)]]] = 0
+    heights[bump_at] += 10
+    return SandpileConfig(heights)
+
+
 @st.composite
 def stabilize_cases(draw):
     """(graph, configuration, kind): random heights from -5 to 40, k*eta for
-    a uniform recurrent eta and k <= 8, identity + eta, or a pile of about
-    2^38 or 2^40 particles on one level-1 vertex over small heights."""
-    kind = draw(st.sampled_from(["random", "multiple", "identity", "pile"]))
-    g = build(1 if kind == "pile" else draw(st.integers(0, 3)))
+    a uniform recurrent eta and k <= 8, identity + eta, a pile of about
+    2^38 or 2^40 particles on one level-1 vertex over small heights, the
+    maximal stable configuration with the origin's block emptied and 10
+    particles next to the sink at level 2 or 3, whose result is not
+    recurrent, or random heights from 0 to 40 over a hole up to 10 particles
+    per vertex deep."""
+    kind = draw(st.sampled_from(["random", "multiple", "identity", "pile", "emptied", "hole"]))
+    if kind == "pile":
+        g = build(1)
+    else:
+        g = build(draw(st.integers(2 if kind == "emptied" else 0, 3)))
     n = g.num_vertices - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
@@ -139,19 +168,26 @@ def stabilize_cases(draw):
         heights = sample_recurrent(g, rng).heights * draw(st.integers(1, 8))
     elif kind == "identity":
         heights = (identity(g.level) + sample_recurrent(g, rng)).heights
+    elif kind == "emptied":
+        bump_at = draw(st.sampled_from(g.neighbors[g.sink_index]))
+        heights = maximal_with_emptied_origin_block(g, bump_at).heights
+    elif kind == "hole":
+        heights = rng.integers(0, 41, size=n)
+        heights[draw(st.integers(0, n - 1))] -= draw(st.integers(1, 10 * n))
     else:
         heights = rng.integers(0, 4, size=n)
         heights[draw(st.integers(0, n - 1))] += draw(st.sampled_from([2**38, 2**40 - 64]))
     return g, SandpileConfig(heights), kind
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(stabilize_cases(), st.integers(0, 2**32 - 1))
 def test_stabilize_matches_oracles(case, seed):
-    """The warm-started engine against the plain rounds and single random
-    legal topplings: heights, odometer and sink particles.  The piles are
-    far beyond both; their reference is the rounds started from the least
-    action bound solved in exact rationals."""
+    """The engine against the plain rounds and single random legal
+    topplings: heights, odometer and sink particles.  The piles are far
+    beyond both; their reference is the rounds started from the least action
+    bound solved in exact rationals.  Above the maximal stable total the
+    engine runs no rounds exactly when the result is recurrent."""
     g, c, kind = case
     out, rep = stabilize(g, c)
     refs = []
@@ -171,6 +207,57 @@ def test_stabilize_matches_oracles(case, seed):
     assert np.all((lower >= 0) & (lower <= rep.odometer))
     gap4 = _solve_times_four(g, g.degrees[:-1] - 1 - out.heights)
     assert np.all(4 * (rep.odometer - lower) <= gap4)
+    if c.total_mass() > (g.degrees[:-1] - 1).sum():
+        recurrent = burns(g, out)
+        assert (rep.rounds == 0) == recurrent
+        assert recurrent or kind not in ("multiple", "identity")
+    if kind == "emptied":
+        assert rep.rounds > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_recurrent_representative(level, seed):
+    """The block-tree sweep returns a recurrent configuration equivalent to
+    the heights (4 L^-1 (h - r) is divisible by 4), and leaves recurrent
+    configurations, such as the sampler's, as they are."""
+    g = build(level)
+    rng = np.random.default_rng(seed)
+    heights = rng.integers(-60, 61, size=g.num_vertices - 1)
+    r = SandpileConfig(_recurrent_representative(g, heights))
+    assert is_recurrent(g, r) and burns(g, r)
+    assert np.all(_solve_times_four(g, heights - r.heights) % 4 == 0)
+    eta = sample_recurrent(g, rng)
+    assert np.array_equal(_recurrent_representative(g, eta.heights), eta.heights)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_recurrent_results_take_no_rounds(level, rng):
+    """identity + eta and 4 eta stabilize to eta and to the identity with no
+    toppling rounds, up to level 4, and L odometer is what left the heights."""
+    g = build(level)
+    ident = identity(level)
+    for _ in range(3):
+        eta = sample_recurrent(g, rng)
+        for start, want in [(ident + eta, eta), (eta.scaled(4), ident)]:
+            out, rep = stabilize(g, start)
+            assert out == want and rep.rounds == 0
+            assert np.array_equal(_laplacian(g, rep.odometer), start.heights - out.heights)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_non_recurrent_result_takes_rounds(level):
+    """Above the maximal stable total with a result that is not recurrent,
+    the engine falls back to the head start and rounds, and agrees with the
+    plain rounds."""
+    g = build(level)
+    c = maximal_with_emptied_origin_block(g, g.neighbors[g.sink_index][0])
+    assert c.total_mass() == (g.degrees[:-1] - 1).sum() + 4
+    out, rep = stabilize(g, c)
+    ref_out, ref_odometer, ref_sink = round_stabilize(g, c)
+    assert out == ref_out and not burns(g, out)
+    assert np.array_equal(rep.odometer, ref_odometer) and rep.sink_particles == ref_sink
+    assert rep.rounds > 0
 
 
 @pytest.mark.parametrize("level", range(5))
