@@ -3,9 +3,9 @@
 Deleting the sink row and column of the graph Laplacian leaves a symmetric,
 diagonally dominant integer matrix whose cokernel is the group of recurrent
 configurations under add-and-stabilize.  Its Smith normal form gives the
-invariant factors; on the level-n Vicsek graph these are 5^n - 1 ones
-followed by 2*5^n fours, i.e. the group is (Z/4)^(2*5^n) and the number of
-spanning trees is 16^(5^n).
+invariant factors; on the level-n Vicsek graph the reduced Laplacian is
+3*5^n square and these are 5^n ones followed by 2*5^n fours, i.e. the group
+is (Z/4)^(2*5^n) and the number of spanning trees is 16^(5^n).
 
 The Smith normal form is computed by exact integer elimination with
 minimal-absolute-value pivoting and the usual divisibility repair (add an

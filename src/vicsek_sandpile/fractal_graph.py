@@ -24,6 +24,7 @@ import os
 from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +71,31 @@ def _block_corners(level: int) -> np.ndarray:
     for k in range(level):
         corners = (_COPY_OFFSETS[:, None, :] * 3**k + corners[None, :, :]).reshape(-1, 2)
     return corners
+
+
+class VertexTree(NamedTuple):
+    """The vertex tree of the block tree in preorder: every non-sink vertex
+    hangs from the root of the one block it is a non-root corner of.  Each
+    vertex is the root of at most one block, so a vertex has no children or
+    its block's three other corners, and the preorder visits those three
+    one after another, each followed by its subtree.  Arrays are indexed by
+    preorder position over the non-sink vertices.
+
+    - ``order``: the vertex index at each position;
+    - ``stop``: the end of each position's subtree, so that positions
+      p .. stop[p] - 1 are the subtree and stop[p] - p is its size;
+    - ``block_start``, ``block_stop``: the span of the subtrees of the
+      position's block: its three non-root corners and everything below
+      them.  The span of the sink's block is every position.
+
+    A subtree sum is then the difference of two prefix sums, and a sum over
+    the path to the sink a prefix sum of a difference array.
+    """
+
+    order: np.ndarray
+    stop: np.ndarray
+    block_start: np.ndarray
+    block_stop: np.ndarray
 
 
 class VicsekGraph:
@@ -169,6 +195,34 @@ class VicsekGraph:
             rows = np.flatnonzero(depth == d)
             levels.append((roots[rows], corners[rows]))
         return tuple(levels)
+
+    @cached_property
+    def vertex_tree(self) -> VertexTree:
+        """The preorder layout of the vertex tree (see ``VertexTree``),
+        built from ``block_levels`` on first use: subtree sizes
+        leaves-first, then positions from the sink down."""
+        n = self.num_vertices
+        size = np.ones(n, dtype=np.int64)
+        for roots, corners in self.block_levels:
+            size[roots] += size[corners].sum(axis=1)
+        # the sink takes position -1, so its block starts at 0
+        pos = np.full(n, -1, dtype=np.int64)
+        block_start = np.empty(n, dtype=np.int64)
+        block_stop = np.empty(n, dtype=np.int64)
+        for roots, corners in reversed(self.block_levels):
+            start = pos[roots, None] + 1
+            ends = start + np.cumsum(size[corners], axis=1)
+            pos[corners] = ends - size[corners]
+            block_start[corners] = start
+            block_stop[corners] = ends[:, -1:]
+        order = np.empty(n - 1, dtype=np.int64)
+        order[pos[:-1]] = np.arange(n - 1)
+        return VertexTree(
+            order=order,
+            stop=(pos + size)[order],
+            block_start=block_start[order],
+            block_stop=block_stop[order],
+        )
 
     def contains(self, v: Coord) -> bool:
         return v in self.index

@@ -1,14 +1,19 @@
 """Recurrent configurations: burning test, burning bijection, uniform
 spanning trees, and samplers for the infinite-volume limit.
 
-A stable configuration is recurrent exactly when the burning test passes:
-add one particle to each vertex for every edge it shares with the sink,
-stabilize, and check that every vertex toppled exactly once and the
-configuration returned to its start.  Recurrent configurations are in
-bijection with spanning trees rooted at the sink; sampling a uniform
-spanning tree with Wilson's loop-erased-random-walk algorithm and mapping it
-through the bijection therefore samples exactly uniformly from the
-recurrent set.
+A stable configuration is recurrent exactly when Dhar's burning test
+passes: add one particle to each vertex for every edge it shares with the
+sink, stabilize, and check that every vertex toppled exactly once and the
+configuration returned to its start.  Each class of the sandpile group holds
+exactly one recurrent configuration, and the block tree gives it without
+stabilizing (``sandpile._recurrent_representative``), so ``is_recurrent``
+checks that a stable configuration is its own representative.  The
+stabilizing burning test stays in the tests as the reference.
+
+Recurrent configurations are in bijection with spanning trees rooted at the
+sink; sampling a uniform spanning tree with Wilson's loop-erased-random-walk
+algorithm and mapping it through the bijection therefore samples exactly
+uniformly from the recurrent set.
 
 The Vicsek graph is a tree of K4 blocks glued at cut vertices, and the
 recurrent set is a product over the blocks: a recurrent K4 configuration on
@@ -24,13 +29,19 @@ stay as the structure-free reference the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .fractal_graph import VicsekGraph, build
-from .sandpile import _K4_RECURRENT, SandpileConfig, is_stable, stabilize
+from .fractal_graph import VicsekGraph
+# stabilize is no longer called here, but bench/spans.py and its tests
+# expect this module to bind it
+from .sandpile import (  # noqa: F401
+    _K4_RECURRENT,
+    SandpileConfig,
+    _recurrent_representative,
+    is_stable,
+    stabilize,
+)
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -110,26 +121,19 @@ class PermutedEdgeOrder(EdgeOrder):
 
 
 def is_recurrent(g: VicsekGraph, c: SandpileConfig) -> bool:
-    """Dhar's burning test; input must be stable."""
+    """Dhar's burning test; input must be stable.  A stable configuration is
+    recurrent exactly when it is its own recurrent representative, the one
+    recurrent configuration of its class (see ``stabilize``)."""
     if not is_stable(g, c):
         raise ValueError("the burning test applies to stable configurations only")
-    burned, report = stabilize(g, SandpileConfig(c.heights + g.sink_degrees))
-    return bool(np.all(report.odometer == 1)) and burned == c
-
-
-@lru_cache(maxsize=1)
-def _burning_k4_table() -> tuple[tuple[int, ...], ...]:
-    """The 16 recurrent level-0 triples in the order the burning test finds
-    them among the 27 stable triples; computed once."""
-    g = build(0)
-    return tuple(h for h in product(range(3), repeat=3) if is_recurrent(g, SandpileConfig(h)))
+    return bool(np.array_equal(_recurrent_representative(g, c.heights), c.heights))
 
 
 def enumerate_recurrent_k4() -> list[SandpileConfig]:
-    """All recurrent configurations of the level-0 graph (sink top-right),
-    found by the burning test over the 27 stable triples; the samplers'
-    table of them is ``sandpile._K4_RECURRENT``, read off Dhar's criterion."""
-    return [SandpileConfig(h) for h in _burning_k4_table()]
+    """All recurrent configurations of the level-0 graph (sink top-right):
+    the rows of ``sandpile._K4_RECURRENT``, read off Dhar's criterion, in
+    product order."""
+    return [SandpileConfig(t) for t in _K4_RECURRENT]
 
 
 def tree_to_config(

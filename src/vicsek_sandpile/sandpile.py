@@ -8,18 +8,20 @@ leaving the system.  Stabilization performs legal topplings until no vertex
 is unstable; by the Abelian property the result and the per-vertex topple
 counts (the odometer) do not depend on the order.
 
-When the heights' total exceeds that of the maximal stable configuration,
-sum(deg - 1), the surplus must leave through the sink and the avalanche is
-large.  Then the stabilizer reads the result off the block tree first.  The
-sandpile group is the direct sum of the K4 blocks' groups, so a leaves-first
-sweep that fires whole subtrees finds the one recurrent configuration r
-equivalent to the heights h; eliminating the blocks leaves-first gives
-u = L^-1 (h - r) exactly in int64 for the reduced Laplacian L.  If u >= 0,
-r and u are the stable result and the odometer (proof in ``stabilize``);
-that is so exactly when the result is recurrent, as for sums of recurrent
-configurations and multiples of them.
+The stabilizer reads the result off the block tree first.  The sandpile
+group is the direct sum of the K4 blocks' groups, so a leaves-first sweep
+that fires whole subtrees finds the one recurrent configuration r equivalent
+to the heights h; eliminating the blocks leaves-first gives u = L^-1 (h - r)
+exactly in int64 for the reduced Laplacian L, from two prefix sums over a
+preorder of the block tree.  If u >= 0, r and u are the stable result and
+the odometer (proof in ``stabilize``); that is so exactly when the result is
+recurrent, as for a recurrent configuration plus particles, sums of
+recurrent configurations and multiples of them.  The solve is skipped when
+sum(h) < sum(r), because the sink cannot give particles back.
 
-Otherwise the stabilizer takes a head start from the least action principle
+Otherwise, when the heights' total exceeds that of the maximal stable
+configuration, sum(deg - 1), the surplus must leave through the sink, and
+the stabilizer takes a head start from the least action principle
 (Fey, Levine and Peres, arXiv:0901.3805): if 0 <= u0 <= odometer, firing u0
 at once and then toppling legally ends in the same stable configuration with
 the same odometer.  L is an M-matrix, so L^-1 >= 0, and the stable end
@@ -221,7 +223,7 @@ def _laplacian(g: VicsekGraph, u: np.ndarray) -> np.ndarray:
 
 def _solve_times_four(g: VicsekGraph, b: np.ndarray) -> np.ndarray:
     """4 L^-1 b for an integer vector b and the reduced Laplacian L, exactly,
-    in two sweeps over the block tree.
+    from two prefix sums over the preorder of the vertex tree.
 
     Eliminate the blocks leaves-first.  By induction, once the blocks below
     a block are eliminated, the equations at its three non-root corners c
@@ -233,19 +235,23 @@ def _solve_times_four(g: VicsekGraph, b: np.ndarray) -> np.ndarray:
     4 z_c = 4 z_root + b'_c + (sum of b' over the block), with z = 0 at the
     sink.  Hence 4z is an integer vector, and as the subtrees are disjoint,
     |4z| <= 2 * depth * sum(|b|).
+
+    So 4 z_c sums w_a = b'_a + (sum of b' over a's block) over c and every
+    vertex between c and the sink.  In the preorder of ``g.vertex_tree``
+    both terms of w are differences of one prefix sum of b, and the sums
+    along the paths are the prefix sums of a difference array that adds w_a
+    where a's subtree starts and takes it off where the subtree stops.
+    Every partial sum is a partial sum of b or a 4z, within the bound.
     """
-    subtree = np.zeros(g.num_vertices, dtype=np.int64)
-    subtree[:-1] = b
-    levels = g.block_levels
-    block_sums = []
-    for roots, corners in levels:
-        total = subtree[corners].sum(axis=1)
-        subtree[roots] += total
-        block_sums.append(total)
-    z4 = np.zeros(g.num_vertices, dtype=np.int64)
-    for (roots, corners), total in zip(reversed(levels), reversed(block_sums)):
-        z4[corners] = z4[roots, None] + subtree[corners] + total[:, None]
-    return z4[:-1]
+    tree = g.vertex_tree
+    prefix = np.zeros(len(b) + 1, dtype=np.int64)
+    np.cumsum(b[tree.order], out=prefix[1:])
+    w = prefix[tree.stop] - prefix[:-1] + prefix[tree.block_stop] - prefix[tree.block_start]
+    steps = np.append(w, 0)
+    np.subtract.at(steps, tree.stop, w)
+    z4 = np.empty_like(w)
+    z4[tree.order] = np.cumsum(steps[:-1])
+    return z4
 
 
 def _odometer_lower_bound(g: VicsekGraph, heights: np.ndarray) -> np.ndarray:
@@ -255,9 +261,10 @@ def _odometer_lower_bound(g: VicsekGraph, heights: np.ndarray) -> np.ndarray:
     The stable result s = heights - L odometer has s <= deg - 1, so
     L odometer >= b = heights - (deg - 1).  L is an M-matrix, L^-1 >= 0,
     hence odometer >= z, and the odometer is a non-negative integer vector.
-    Heights of at least -2^40 with positive mass of at most 2^40 and
-    sum(b) > 0, as stabilize calls it, give sum(|b|) < 2^41, so
-    |4z| < depth * 2^42 fits in int64.
+    stabilize calls it only above the maximal stable total, so sum(b) > 0.
+    As sum(|b|) = 2 * sum(max(b, 0)) - sum(b) and b <= heights, a positive
+    mass of at most 2^40 gives sum(|b|) < 2^41, so |4z| < depth * 2^42 fits
+    in int64.
     """
     b = heights - (g.degrees[:-1] - 1)
     return np.maximum(-(-_solve_times_four(g, b) >> 2), 0)
@@ -293,28 +300,33 @@ def stabilize(g: VicsekGraph, c: SandpileConfig) -> tuple[SandpileConfig, Avalan
     """Perform legal topplings until stable; returns the stable configuration
     and the avalanche report.  Terminates on any finite graph with a sink.
 
-    Heights h whose total exceeds that of the maximal stable configuration
-    are first compared with their recurrent representative r: u = L^-1 (h - r)
-    is an integer vector, and if u >= 0 then r is the stable result and u
-    the odometer.  Proof: r = h - L u is stable, so by the least action
-    principle the odometer o is at most u.  Then w = u - o >= 0 and the
-    stable result is s = r + L w.  If w != 0, let F be the set where w is
-    largest.  For v in F, every neighbour outside F (the sink, where w = 0,
-    included) has smaller w, so (L w)_v >= deg v - deg_F v and
+    A stable input is its own result, with a zero odometer.  Otherwise the
+    heights h are first compared with their recurrent representative r:
+    u = L^-1 (h - r) is an integer vector, and if u >= 0 then r is the stable
+    result and u the odometer.  Proof: r = h - L u is stable, so by the least
+    action principle the odometer o is at most u.  Then w = u - o >= 0 and
+    the stable result is s = r + L w.  If w != 0, let F be the set where w
+    is largest.  For v in F, every neighbour outside F (the sink, where
+    w = 0, included) has smaller w, so (L w)_v >= deg v - deg_F v and
     r_v = s_v - (L w)_v <= deg_F v - 1: F would be a forbidden
     subconfiguration (Dhar) of the recurrent r.  Hence o = u and s = r.
     Conversely a recurrent result equals r, the one recurrent configuration
     of its class, and then o = u >= 0; so this path is taken exactly when
-    the result is recurrent.
+    the result is recurrent.  The particles it sends to the sink,
+    sum(h) - sum(r), are a count, so the solve is skipped when
+    sum(h) < sum(r).  It needs heights of at least -2^40: with a positive
+    mass of at most 2^40 and sum(h - r) >= 0, sum(|h - r|) <= 2 * 2^40, so
+    |4u| <= depth * 2^42 fits in int64 (see _solve_times_four).
 
-    Otherwise the engine fires a lower bound u0 on the odometer o in one
-    step (see _odometer_lower_bound); the rounds then finish from h - L u0.
-    By the least action principle this gives the same stable configuration
-    and the same odometer as legal toppling from h: the odometer o' of
-    h - L u0 is at most o - u0, because firing o - u0 from there reaches the
-    stable h - L o, and u0 + o' is at least o, because h - L (u0 + o') is
-    stable.  Below that total the avalanche need not reach the sink, and the
-    rounds start from nothing.
+    Otherwise, when the total exceeds that of the maximal stable
+    configuration, the engine fires a lower bound u0 on the odometer o in
+    one step (see _odometer_lower_bound); the rounds then finish from
+    h - L u0.  By the least action principle this gives the same stable
+    configuration and the same odometer as legal toppling from h: the
+    odometer o' of h - L u0 is at most o - u0, because firing o - u0 from
+    there reaches the stable h - L o, and u0 + o' is at least o, because
+    h - L (u0 + o') is stable.  Below that total the avalanche need not
+    reach the sink, and the rounds start from nothing.
     """
     _check_config(g, c)
     deg, adj = g.degrees[:-1], g.nonsink_adjacency
@@ -324,18 +336,21 @@ def stabilize(g: VicsekGraph, c: SandpileConfig) -> tuple[SandpileConfig, Avalan
         raise OverflowError("sandpile mass exceeds the engine limit")
     mass = heights.sum()
     odometer = np.zeros_like(heights)
-    if mass > deg.sum() - len(deg) and heights.min() >= -_OVERFLOW_LIMIT:
+    read_off = False
+    if heights.min() >= -_OVERFLOW_LIMIT and np.any(heights >= deg):
         recurrent = _recurrent_representative(g, heights)
-        u4 = _solve_times_four(g, heights - recurrent)
-        if np.any(u4 & 3):
-            raise RuntimeError("the recurrent representative is not equivalent to the heights")
-        if u4.min() >= 0:
-            heights, odometer = recurrent, u4 >> 2
-        else:
+        if mass >= recurrent.sum():
+            u4 = _solve_times_four(g, heights - recurrent)
+            if np.any(u4 & 3):
+                raise RuntimeError("the recurrent representative is not equivalent to the heights")
+            read_off = u4.min() >= 0
+            if read_off:
+                heights, odometer = recurrent, u4 >> 2
+        if not read_off and mass > deg.sum() - len(deg):
             odometer = _odometer_lower_bound(g, heights)
             heights -= _laplacian(g, odometer)
     rounds = 0
-    while True:
+    while not read_off:
         fire = heights // deg
         np.maximum(fire, 0, out=fire)
         if not fire.any():

@@ -89,6 +89,14 @@ def round_stabilize(g: VicsekGraph, c: SandpileConfig):
     return SandpileConfig(heights), odometer, int(g.sink_degrees @ odometer)
 
 
+def burns(g: VicsekGraph, c: SandpileConfig) -> bool:
+    """Dhar's burning test run with the plain rounds: the stable c is
+    recurrent when adding the sink's edges topples every vertex once and
+    returns c."""
+    out, odometer, _ = round_stabilize(g, SandpileConfig(c.heights + g.sink_degrees))
+    return out == c and bool(np.all(odometer == 1))
+
+
 def exact_laplacian_solve(g: VicsekGraph, b) -> list[Fraction]:
     """z with L z = b for the reduced Laplacian L, by Gauss-Jordan
     elimination in exact rationals on the dense matrix built from the

@@ -95,6 +95,30 @@ def test_block_roots(level):
         assert all(r == g.sink_index or level_of_corner[r] > i for r in roots.tolist())
 
 
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_vertex_tree_preorder(level):
+    """The preorder is a permutation of the non-sink vertices.  Prefix sums
+    over it give every vertex's subtree sum, the vertex plus its descendants
+    (everything whose geodesic to the sink passes through it), and every
+    vertex's block span sums the subtrees of its block's non-root corners."""
+    g = build(level)
+    tree = g.vertex_tree
+    n = g.num_vertices - 1
+    assert sorted(tree.order.tolist()) == list(range(n))
+    h = np.random.default_rng(level).integers(-50, 51, size=n)
+    prefix = np.concatenate([[0], np.cumsum(h[tree.order])])
+    subtree = np.empty(n, dtype=np.int64)
+    subtree[tree.order] = prefix[tree.stop] - prefix[:-1]
+    for c in range(n):
+        below = [g.vertex_index(v) for v in descendants(g, g.vertices[c])]
+        assert subtree[c] == h[c] + h[below].sum()
+    span = np.empty(n, dtype=np.int64)
+    span[tree.order] = prefix[tree.block_stop] - prefix[tree.block_start]
+    for block, root in zip(g.blocks.tolist(), g.block_roots.tolist()):
+        corners = [v for v in block if v != root]
+        assert all(span[c] == subtree[corners].sum() for c in corners)
+
+
 @pytest.mark.parametrize("level", range(5))
 def test_build_matches_five_copy_union(level):
     g = build(level)

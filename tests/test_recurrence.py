@@ -3,6 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from vicsek_sandpile import (
@@ -25,7 +26,7 @@ from vicsek_sandpile import recurrence
 from vicsek_sandpile.recurrence import EdgeOrder, PermutedEdgeOrder, SpanningTree
 from vicsek_sandpile.sandpile import _K4_RECURRENT, _k4_class
 
-from .oracles import k4_spanning_trees
+from .oracles import burns, k4_spanning_trees
 
 # the sixteen recurrent K4 configurations with the sink at the top-right
 # corner, as (height(0,0), height(0,1), height(1,0)) triples
@@ -56,20 +57,47 @@ def test_enumerate_recurrent_k4_cached(monkeypatch):
     assert {c.as_tuple() for c in enumerate_recurrent_k4()} == RECURRENT_K4
 
 
-def test_k4_table_is_the_burning_table():
+def test_k4_table_is_the_burning_table(g0):
     """The samplers' table, read off Dhar's criterion, holds the triples the
-    burning test finds, in the same order, and the 16 lie in distinct
-    classes modulo (4I - J) Z^3, so the class lookup is a bijection."""
+    stabilizing burning test finds among the 27 stable level-0 triples, in
+    the same order, and the 16 lie in distinct classes modulo
+    (4I - J) Z^3, so the class lookup is a bijection."""
     table = [tuple(t) for t in _K4_RECURRENT.tolist()]
-    assert table == [c.as_tuple() for c in enumerate_recurrent_k4()]
+    burned = [t for t in product(range(3), repeat=3) if burns(g0, SandpileConfig(t))]
+    assert table == burned
+    assert [c.as_tuple() for c in enumerate_recurrent_k4()] == table
     assert len(set(zip(*(k.tolist() for k in _k4_class(_K4_RECURRENT))))) == 16
 
 
 def test_burning_counts_over_stable_triples(g0):
-    passed = sum(
-        is_recurrent(g0, SandpileConfig(t)) for t in product(range(3), repeat=3)
-    )
-    assert passed == 16  # of 27 stable configurations
+    stable = [SandpileConfig(t) for t in product(range(3), repeat=3)]
+    passed = [is_recurrent(g0, c) for c in stable]
+    assert passed == [burns(g0, c) for c in stable]
+    assert sum(passed) == 16  # of 27 stable configurations
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_is_recurrent_matches_burning_oracle(level, seed):
+    """The representative check agrees with the stabilizing burning test on
+    stable configurations on both sides: a uniform recurrent eta, eta with
+    the non-root corners of one block emptied (a forbidden
+    subconfiguration), eta with one positive height lowered, and uniformly
+    random stable heights."""
+    g = build(level)
+    rng = np.random.default_rng(seed)
+    eta = sample_recurrent(g, rng)
+    emptied = eta.copy()
+    b = rng.integers(0, len(g.blocks))
+    emptied.heights[[v for v in g.blocks[b].tolist() if v != g.block_roots[b]]] = 0
+    lowered = eta.copy()
+    v = rng.choice(np.flatnonzero(eta.heights))
+    lowered.heights[v] = rng.integers(0, eta.heights[v])
+    uniform = SandpileConfig(rng.integers(0, g.degrees[:-1]))
+    cases = [eta, emptied, lowered, uniform]
+    outcomes = [is_recurrent(g, c) for c in cases]
+    assert outcomes == [burns(g, c) for c in cases]
+    assert outcomes[:2] == [True, False]
 
 
 def test_is_recurrent_requires_stable(g0):

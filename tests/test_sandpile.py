@@ -30,6 +30,7 @@ from vicsek_sandpile.sandpile import (
 )
 
 from .oracles import (
+    burns,
     exact_least_action_stabilize,
     nested_volume_counts,
     random_order_stabilize,
@@ -130,13 +131,6 @@ def test_abelian_order_independence(g2, rng):
 RANDOM_ORDER_BUDGET = 50_000
 
 
-def burns(g, c):
-    """Dhar's burning test run with the plain rounds: c is recurrent when
-    adding the sink's edges topples every vertex once and returns c."""
-    out, odometer, _ = round_stabilize(g, SandpileConfig(c.heights + g.sink_degrees))
-    return out == c and bool(np.all(odometer == 1))
-
-
 def maximal_with_emptied_origin_block(g, bump_at):
     """The maximal stable configuration with (0,0), (0,1), (1,0) at 0 and 10
     particles added at vertex index bump_at: 4 above the maximal total."""
@@ -149,13 +143,16 @@ def maximal_with_emptied_origin_block(g, bump_at):
 @st.composite
 def stabilize_cases(draw):
     """(graph, configuration, kind): random heights from -5 to 40, k*eta for
-    a uniform recurrent eta and k <= 8, identity + eta, a pile of about
+    a uniform recurrent eta and k <= 8, identity + eta, eta plus 1 to 8
+    particles dropped on 1 to 3 random vertices, a pile of about
     2^38 or 2^40 particles on one level-1 vertex over small heights, the
     maximal stable configuration with the origin's block emptied and 10
     particles next to the sink at level 2 or 3, whose result is not
     recurrent, or random heights from 0 to 40 over a hole up to 10 particles
     per vertex deep."""
-    kind = draw(st.sampled_from(["random", "multiple", "identity", "pile", "emptied", "hole"]))
+    kind = draw(
+        st.sampled_from(["random", "multiple", "identity", "particles", "pile", "emptied", "hole"])
+    )
     if kind == "pile":
         g = build(1)
     else:
@@ -168,6 +165,10 @@ def stabilize_cases(draw):
         heights = sample_recurrent(g, rng).heights * draw(st.integers(1, 8))
     elif kind == "identity":
         heights = (identity(g.level) + sample_recurrent(g, rng)).heights
+    elif kind == "particles":
+        heights = sample_recurrent(g, rng).heights
+        sites = rng.integers(0, n, size=draw(st.integers(1, 3)))
+        np.add.at(heights, rng.choice(sites, size=draw(st.integers(1, 8))), 1)
     elif kind == "emptied":
         bump_at = draw(st.sampled_from(g.neighbors[g.sink_index]))
         heights = maximal_with_emptied_origin_block(g, bump_at).heights
@@ -187,7 +188,8 @@ def test_stabilize_matches_oracles(case, seed):
     topplings: heights, odometer and sink particles.  The piles are far
     beyond both; their reference is the rounds started from the least action
     bound solved in exact rationals.  Above the maximal stable total the
-    engine runs no rounds exactly when the result is recurrent."""
+    engine runs no rounds exactly when the result is recurrent or the input
+    was stable already, whatever the mass."""
     g, c, kind = case
     out, rep = stabilize(g, c)
     refs = []
@@ -207,10 +209,9 @@ def test_stabilize_matches_oracles(case, seed):
     assert np.all((lower >= 0) & (lower <= rep.odometer))
     gap4 = _solve_times_four(g, g.degrees[:-1] - 1 - out.heights)
     assert np.all(4 * (rep.odometer - lower) <= gap4)
-    if c.total_mass() > (g.degrees[:-1] - 1).sum():
-        recurrent = burns(g, out)
-        assert (rep.rounds == 0) == recurrent
-        assert recurrent or kind not in ("multiple", "identity")
+    recurrent = burns(g, out)
+    assert (rep.rounds == 0) == (recurrent or is_stable(g, c))
+    assert recurrent or kind not in ("multiple", "identity", "particles")
     if kind == "emptied":
         assert rep.rounds > 0
 
@@ -260,14 +261,16 @@ def test_non_recurrent_result_takes_rounds(level):
     assert rep.rounds > 0
 
 
-@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("level", range(6))
 def test_solve_times_four_is_exact(level):
-    """4 L^-1 is an integer matrix, and the block-tree sweeps apply it
-    exactly: L solve(b) equals 4b in int64, for unit vectors and large b."""
+    """4 L^-1 is an integer matrix, and the prefix sums over the vertex tree
+    apply it exactly: L solve(b) equals 4b in int64, for unit vectors and
+    large b."""
     g = build(level)
     n = g.num_vertices - 1
     rng = np.random.default_rng(level)
-    cases = [np.eye(n, dtype=np.int64)[i] for i in rng.choice(n, size=min(n, 20), replace=False)]
+    picks = rng.choice(n, size=min(n, 20), replace=False)
+    cases = [np.eye(1, n, i, dtype=np.int64)[0] for i in picks]
     cases += [np.ones(n, dtype=np.int64), rng.integers(-(2**40), 2**40, size=n)]
     for b in cases:
         assert np.array_equal(_laplacian(g, _solve_times_four(g, b)), 4 * b)
