@@ -29,12 +29,15 @@ stay as the structure-free reference the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
-from .fractal_graph import VicsekGraph
-# stabilize is no longer called here, but bench/spans.py and its tests
-# expect this module to bind it
+from .fractal_graph import VicsekGraph, build
+# stabilize is no longer called here; a benchmark harness test asserts that
+# this module binds it, and the import goes with that assertion (ROADMAP
+# item 6, benchmark upkeep)
 from .sandpile import (  # noqa: F401
     _K4_RECURRENT,
     SandpileConfig,
@@ -129,11 +132,20 @@ def is_recurrent(g: VicsekGraph, c: SandpileConfig) -> bool:
     return bool(np.array_equal(_recurrent_representative(g, c.heights), c.heights))
 
 
+@lru_cache(maxsize=1)
+def _burning_k4_table() -> tuple[tuple[int, ...], ...]:
+    """The 16 recurrent level-0 triples in the order the burning test finds
+    them among the 27 stable triples; computed once."""
+    g = build(0)
+    return tuple(h for h in product(range(3), repeat=3) if is_recurrent(g, SandpileConfig(h)))
+
+
 def enumerate_recurrent_k4() -> list[SandpileConfig]:
-    """All recurrent configurations of the level-0 graph (sink top-right):
-    the rows of ``sandpile._K4_RECURRENT``, read off Dhar's criterion, in
-    product order."""
-    return [SandpileConfig(t) for t in _K4_RECURRENT]
+    """All recurrent configurations of the level-0 graph (sink top-right),
+    found by the burning test over the 27 stable triples.  They are the rows
+    of the samplers' table ``sandpile._K4_RECURRENT``, read off Dhar's
+    criterion; the tests check both against the stabilizing burning test."""
+    return [SandpileConfig(h) for h in _burning_k4_table()]
 
 
 def tree_to_config(
