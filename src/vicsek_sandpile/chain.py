@@ -9,6 +9,20 @@ transition law follows from the 16 equally likely recurrent K4 blocks and
 is computed here by running the sandpile engine on every (block, added)
 pair, never hard-coded.
 
+Why X is a Markov chain (both steps are Dhar's burning test, PRL 64, 1613,
+1990).  Volume i is the blocks K^1..K^i with (i, i) as its sink; at the
+start it holds a recurrent K4 triple on each block's corners other than
+the one nearest (i, i), 3 more at every interior cutpoint, and the added
+particle: a recurrent configuration plus one particle.  So once volume i
+is stabilized it is recurrent.  In volume i + 1, (i, i) is a corner of
+K^{i+1} of degree 6.  Each time it fires, it puts one particle on each of
+its three edges into volume i, which is volume i's burning configuration:
+every vertex there fires once, volume i returns to where it was and 3
+particles come back.  The old volume acts as a reflector, and (i, i) acts
+as a degree-3 corner of a lone K4 block whose glued 3 particles offset the
+3 extra edges.  Hence X_{i+1} = T[block_{i+1}, X_i], with T the table of
+``k4_transition_table``, and the blocks are independent and uniform.
+
 Everything downstream is exact rational arithmetic: absorption
 probabilities, k-step distributions (all entries have denominator 16^k, so
 the internal representation keeps integer numerators at that denominator),
@@ -30,7 +44,7 @@ import numpy as np
 from .critical_group import SingularMatrixError
 from .fractal_graph import build, has_ternary_digit_two, kappa
 from .recurrence import _as_generator, enumerate_recurrent_k4
-from .sandpile import _K4_RECURRENT, SandpileConfig, _chain_flow, stabilize
+from .sandpile import _K4_RECURRENT, SandpileConfig, stabilize
 
 STATES = (0, 1, 2, 3, 4)
 
@@ -392,28 +406,37 @@ def _run_chain_trials(trials: int, max_steps: int, rng: np.random.Generator, lut
     return stabilized, exploded, trials - stabilized - exploded
 
 
+@lru_cache(maxsize=1)
+def _k4_walk_table() -> np.ndarray:
+    """T[b, x]: the particles that block b, row b of ``_K4_RECURRENT``,
+    passes to its sink when x particles arrive at the corner opposite the
+    sink, from ``k4_transition_table``.  T[b, 0] = 0 and T[b, 4] = 4."""
+    table = k4_transition_table()
+    walk = np.zeros((len(_K4_RECURRENT), 5), dtype=np.int64)
+    for b, block in enumerate(_K4_RECURRENT.tolist()):
+        for x in (1, 2, 3, 4):
+            walk[b, x] = table[(tuple(block), x)]
+    walk.flags.writeable = False
+    return walk
+
+
 def _run_sandpile_trials(trials: int, level: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    m = 3**level
-    picks = rng.integers(0, len(_K4_RECURRENT), size=(trials, m))
-    # chain ids of block j: bottom-left 3j, top-left 3j+1, bottom-right 3j+2,
-    # the same order as the table's (0,0), (0,1), (1,0) columns
-    heights = np.zeros((trials, 3 * m + 1), dtype=np.int64)
-    heights[:, : 3 * m] = _K4_RECURRENT[picks].reshape(trials, 3 * m)
-    heights[:, 3 : 3 * m : 3] += 3  # gluing at the interior cutpoints
-    heights[:, 0] += 1  # the added particle at the origin
-    last = np.array(
-        [_chain_flow(row, m, stop_at_absorption=True)[-1] for row in heights.tolist()]
-    )
-    stabilized = int(np.count_nonzero(last == 0))
-    exploded = int(np.count_nonzero(last == 4))
+    walk = _k4_walk_table()
+    picks = rng.integers(0, len(_K4_RECURRENT), size=(trials, 3**level))
+    states = np.ones(trials, dtype=np.int64)  # the added particle at the origin
+    for blocks in picks.T:
+        states = walk[blocks, states]
+    stabilized = int(np.count_nonzero(states == 0))
+    exploded = int(np.count_nonzero(states == 4))
     return stabilized, exploded, trials - stabilized - exploded
 
 
 # Trials per random stream.  Every block of trials draws from its own child
 # of the caller's stream and workers take whole blocks, so the counts depend
-# on the seed alone and the worker count changes only the wall time.  A chain
-# block is one vectorized pass; sandpile trials run one by one, so their
-# smaller blocks still spread over workers.
+# on the seed alone and the worker count changes only the wall time.  Both
+# modes walk a whole block at once; the sandpile blocks stay at 2^10 trials
+# because the block size fixes which stream each trial draws from, and with
+# it the counts for a given seed.
 _BLOCK_TRIALS = {"chain": 1 << 18, "sandpile": 1 << 10}
 
 
@@ -421,9 +444,14 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
     """Estimate the stabilization probability by simulation.
 
     chain mode simulates the particle-count chain from state 1 for at most
-    3^level steps; sandpile mode assembles independent uniform K4 blocks on
-    the diagonal of the level graph, adds one particle at the origin, and
-    classifies the nested-volume flow by its absorbing value.  The trials are
+    3^level steps, drawing each step from the transition law.  sandpile
+    mode draws independent uniform recurrent K4 blocks for the 3^level
+    diagonal blocks of the level graph, adds one particle at the origin,
+    and classifies the nested-volume flow by its absorbing value.  By the
+    reflector lemma (module docstring) stabilized volumes return every
+    particle the next cutpoint sends them, so the flow is the walk
+    X_{i+1} = T[block_{i+1}, X_i] from X_0 = 1 over the drawn blocks, one
+    gather per block for all trials at once.  The trials are
     split into fixed-size blocks, each with its own child random stream;
     workers share out the blocks, and the result does not depend on how many
     there are.

@@ -8,7 +8,9 @@ The five copies meet only at single vertices, so the level-n graph is a
 tree of 5^n K4 blocks glued at cut vertices: it has 3*5^n + 1 vertices and
 6*5^n edges, and every vertex has degree 3 (corner of a single block) or
 degree 6 (cutpoint shared by exactly two blocks).  The graph is built as
-that block table, and adjacency is derived from it.
+that block table.  ``BlockTree`` derives adjacency and the block-tree layout
+from any such table whose last vertex is the sink, so the sandpile engine
+also runs on other trees of K4 blocks, such as the diagonal chain below.
 
 The diagonal chain D_n is the union of the 3^n complete blocks
 K^i = {(i-1,i-1), (i-1,i), (i,i-1), (i,i)}.  Vertices split into the exact
@@ -98,60 +100,43 @@ class VertexTree(NamedTuple):
     block_stop: np.ndarray
 
 
-class VicsekGraph:
-    """Immutable level-n Vicsek graph with dense canonical vertex indexing.
-
-    The graph is a tree of 5^n K4 blocks glued at cut vertices, and the
-    block table ``blocks`` is its primary data: one row per unit square,
-    holding the indices of its four corners in canonical order
-    (x, y), (x, y+1), (x+1, y), (x+1, y+1), rows sorted by lower-left corner.
-    Vertices are ordered lexicographically by (x, y); the sink (3^n, 3^n) is
-    always the last index.  Adjacency is derived from the blocks, both as
-    per-vertex sorted neighbor lists and as flat CSR-style arrays for
-    vectorized consumers; the non-sink views are computed on first use.
+class BlockTree:
+    """A tree of K4 blocks glued at cut vertices, given by its block table:
+    one row of four vertex indices per block, two blocks sharing at most one
+    vertex, and the last vertex the sink.  Everything the sandpile engine
+    needs is derived from the table: degrees and adjacency as flat CSR-style
+    arrays up front; per-vertex neighbor lists, the non-sink views and the
+    blocks' layout in the block tree on first use.
     """
 
-    def __init__(self, level: int):
-        self.level = level
-        self.side = 3**level
-        self.sink: Coord = (self.side, self.side)
-
-        squares = _block_corners(level)[:, None, :] + _CORNERS[None, :, :]
-        keys = squares[..., 0] * (self.side + 1) + squares[..., 1]
-        codes, blocks = np.unique(keys, return_inverse=True)
-        blocks = blocks.reshape(-1, 4).astype(np.int64)
-        self.blocks = blocks[np.argsort(blocks[:, 0])]
-        xs, ys = np.divmod(codes, self.side + 1)
-        self.vertices: list[Coord] = list(zip(xs.tolist(), ys.tolist()))
-        self.index: dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
-        self.sink_index = self.index[self.sink]
-
+    def __init__(self, blocks: np.ndarray):
+        self.blocks = blocks
         # every corner of a block is adjacent to the block's three others;
         # two blocks share at most one vertex, so no edge is listed twice
-        self.degrees = 3 * np.bincount(self.blocks.ravel(), minlength=len(codes))
-        src = self.blocks[:, _BLOCK_EDGES[:, 0]].ravel()
-        dst = self.blocks[:, _BLOCK_EDGES[:, 1]].ravel()
+        self.degrees = 3 * np.bincount(blocks.ravel())
+        n = len(self.degrees)
+        self.sink_index = n - 1
+        src = blocks[:, _BLOCK_EDGES[:, 0]].ravel()
+        dst = blocks[:, _BLOCK_EDGES[:, 1]].ravel()
         self.nbr_indices = dst[np.lexsort((dst, src))]
-        self.indptr = np.zeros(len(codes) + 1, dtype=np.int64)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.indptr[1:])
-        flat, bounds = self.nbr_indices.tolist(), self.indptr.tolist()
-        self.neighbors = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
         self._dist_to_sink: np.ndarray | None = None
 
-    def __repr__(self) -> str:
-        return (
-            f"VicsekGraph(level={self.level}, vertices={len(self.vertices)}, "
-            f"edges={self.num_edges})"
-        )
-
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.degrees)
 
     @property
     def num_edges(self) -> int:
         return int(self.degrees.sum()) // 2
+
+    @cached_property
+    def neighbors(self) -> list[list[int]]:
+        """Each vertex's sorted neighbor indices, as a list of Python ints."""
+        flat, bounds = self.nbr_indices.tolist(), self.indptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
@@ -171,7 +156,7 @@ class VicsekGraph:
     def sink_degrees(self) -> np.ndarray:
         """Number of edges from each non-sink vertex to the sink."""
         out = np.zeros(self.num_vertices - 1, dtype=np.int64)
-        out[self.neighbors[self.sink_index]] = 1
+        out[self.nbr_indices[self.indptr[-2] :]] = 1  # the sink's, as it is last
         return out
 
     @cached_property
@@ -224,21 +209,6 @@ class VicsekGraph:
             block_stop=block_stop[order],
         )
 
-    def contains(self, v: Coord) -> bool:
-        return v in self.index
-
-    def vertex_index(self, v: Coord) -> int:
-        try:
-            return self.index[v]
-        except KeyError:
-            raise ValueError(f"{v} is not a vertex of the level-{self.level} graph")
-
-    def degree(self, v: Coord) -> int:
-        return int(self.degrees[self.vertex_index(v)])
-
-    def neighbors_of(self, v: Coord) -> list[Coord]:
-        return [self.vertices[w] for w in self.neighbors[self.vertex_index(v)]]
-
     def distances_from(self, source: int) -> np.ndarray:
         """BFS distance array from one vertex index (-1 for unreachable)."""
         dist = np.full(self.num_vertices, -1, dtype=np.int64)
@@ -258,6 +228,54 @@ class VicsekGraph:
         if self._dist_to_sink is None:
             self._dist_to_sink = self.distances_from(self.sink_index)
         return self._dist_to_sink
+
+
+class VicsekGraph(BlockTree):
+    """Immutable level-n Vicsek graph with dense canonical vertex indexing.
+
+    The graph is a tree of 5^n K4 blocks glued at cut vertices, and the
+    block table ``blocks`` is its primary data: one row per unit square,
+    holding the indices of its four corners in canonical order
+    (x, y), (x, y+1), (x+1, y), (x+1, y+1), rows sorted by lower-left corner.
+    Vertices are ordered lexicographically by (x, y); the sink (3^n, 3^n) is
+    always the last index.  Adjacency and the block-tree layout come from
+    ``BlockTree``.
+    """
+
+    def __init__(self, level: int):
+        self.level = level
+        self.side = 3**level
+        self.sink: Coord = (self.side, self.side)
+
+        squares = _block_corners(level)[:, None, :] + _CORNERS[None, :, :]
+        keys = squares[..., 0] * (self.side + 1) + squares[..., 1]
+        codes, blocks = np.unique(keys, return_inverse=True)
+        blocks = blocks.reshape(-1, 4).astype(np.int64)
+        super().__init__(blocks[np.argsort(blocks[:, 0])])
+        xs, ys = np.divmod(codes, self.side + 1)
+        self.vertices: list[Coord] = list(zip(xs.tolist(), ys.tolist()))
+        self.index: dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
+
+    def __repr__(self) -> str:
+        return (
+            f"VicsekGraph(level={self.level}, vertices={len(self.vertices)}, "
+            f"edges={self.num_edges})"
+        )
+
+    def contains(self, v: Coord) -> bool:
+        return v in self.index
+
+    def vertex_index(self, v: Coord) -> int:
+        try:
+            return self.index[v]
+        except KeyError:
+            raise ValueError(f"{v} is not a vertex of the level-{self.level} graph")
+
+    def degree(self, v: Coord) -> int:
+        return int(self.degrees[self.vertex_index(v)])
+
+    def neighbors_of(self, v: Coord) -> list[Coord]:
+        return [self.vertices[w] for w in self.neighbors[self.vertex_index(v)]]
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,11 @@ leaving the system.  Stabilization performs legal topplings until no vertex
 is unstable; by the Abelian property the result and the per-vertex topple
 counts (the odometer) do not depend on the order.
 
+The engine takes any tree of K4 blocks glued at cut vertices whose last
+vertex is the sink (``fractal_graph.BlockTree``): a Vicsek graph, or one of
+the diagonal chain's nested volumes, which ``boundary_flow`` stabilizes one
+after another.  ``stabilize`` is the only toppling loop in the package.
+
 The stabilizer reads the result off the block tree first.  The sandpile
 group is the direct sum of the K4 blocks' groups, so a leaves-first sweep
 that fires whole subtrees finds the one recurrent configuration r equivalent
@@ -44,7 +49,7 @@ from itertools import product
 
 import numpy as np
 
-from .fractal_graph import Coord, VicsekGraph
+from .fractal_graph import BlockTree, Coord, VicsekGraph
 
 _OVERFLOW_LIMIT = np.int64(2) ** 40
 
@@ -86,11 +91,11 @@ class SandpileConfig:
             raise ValueError("heights must be a one-dimensional array")
 
     @classmethod
-    def zeros(cls, g: VicsekGraph) -> "SandpileConfig":
+    def zeros(cls, g: BlockTree) -> "SandpileConfig":
         return cls(np.zeros(g.num_vertices - 1, dtype=np.int64))
 
     @classmethod
-    def constant(cls, g: VicsekGraph, h: int) -> "SandpileConfig":
+    def constant(cls, g: BlockTree, h: int) -> "SandpileConfig":
         return cls(np.full(g.num_vertices - 1, h, dtype=np.int64))
 
     def copy(self) -> "SandpileConfig":
@@ -135,7 +140,7 @@ class AvalancheReport:
     """
 
     def __init__(
-        self, graph: VicsekGraph, odometer: np.ndarray, sink_particles: int, rounds: int = 0
+        self, graph: BlockTree, odometer: np.ndarray, sink_particles: int, rounds: int = 0
     ):
         self.graph = graph
         self.odometer = odometer
@@ -170,15 +175,15 @@ class AvalancheReport:
         )
 
 
-def _check_config(g: VicsekGraph, c: SandpileConfig) -> None:
+def _check_config(g: BlockTree, c: SandpileConfig) -> None:
     if len(c.heights) != g.num_vertices - 1:
         raise ValueError(
             f"configuration has {len(c.heights)} heights, "
-            f"level-{g.level} graph needs {g.num_vertices - 1}"
+            f"the graph needs {g.num_vertices - 1}"
         )
 
 
-def is_stable(g: VicsekGraph, c: SandpileConfig) -> bool:
+def is_stable(g: BlockTree, c: SandpileConfig) -> bool:
     _check_config(g, c)
     return bool(np.all(c.heights < g.degrees[: len(c.heights)]))
 
@@ -216,12 +221,12 @@ def is_legal_topple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> bool:
     return vi != g.sink_index and c.heights[vi] >= g.degrees[vi]
 
 
-def _laplacian(g: VicsekGraph, u: np.ndarray) -> np.ndarray:
+def _laplacian(g: BlockTree, u: np.ndarray) -> np.ndarray:
     """Reduced Laplacian times u: what firing u takes from each height."""
     return g.degrees[:-1] * u - g.nonsink_adjacency.dot(u)
 
 
-def _solve_times_four(g: VicsekGraph, b: np.ndarray) -> np.ndarray:
+def _solve_times_four(g: BlockTree, b: np.ndarray) -> np.ndarray:
     """4 L^-1 b for an integer vector b and the reduced Laplacian L, exactly,
     from two prefix sums over the preorder of the vertex tree.
 
@@ -254,7 +259,7 @@ def _solve_times_four(g: VicsekGraph, b: np.ndarray) -> np.ndarray:
     return z4
 
 
-def _odometer_lower_bound(g: VicsekGraph, heights: np.ndarray) -> np.ndarray:
+def _odometer_lower_bound(g: BlockTree, heights: np.ndarray) -> np.ndarray:
     """max(ceil(z), 0) for z = L^-1 (heights - (deg - 1)): a head start that
     the odometer dominates.
 
@@ -270,7 +275,7 @@ def _odometer_lower_bound(g: VicsekGraph, heights: np.ndarray) -> np.ndarray:
     return np.maximum(-(-_solve_times_four(g, b) >> 2), 0)
 
 
-def _recurrent_representative(g: VicsekGraph, heights: np.ndarray) -> np.ndarray:
+def _recurrent_representative(g: BlockTree, heights: np.ndarray) -> np.ndarray:
     """The recurrent configuration r equivalent to heights modulo L Z^n, in
     one leaves-first sweep over the block tree.
 
@@ -296,7 +301,7 @@ def _recurrent_representative(g: VicsekGraph, heights: np.ndarray) -> np.ndarray
     return (local + glue)[:-1]
 
 
-def stabilize(g: VicsekGraph, c: SandpileConfig) -> tuple[SandpileConfig, AvalancheReport]:
+def stabilize(g: BlockTree, c: SandpileConfig) -> tuple[SandpileConfig, AvalancheReport]:
     """Perform legal topplings until stable; returns the stable configuration
     and the avalanche report.  Terminates on any finite graph with a sink.
 
@@ -376,98 +381,20 @@ def add_particles(g: VicsekGraph, c: SandpileConfig, v: Coord, k: int) -> Sandpi
     return SandpileConfig(out)
 
 
-def group_add(g: VicsekGraph, a: SandpileConfig, b: SandpileConfig) -> SandpileConfig:
+def group_add(g: BlockTree, a: SandpileConfig, b: SandpileConfig) -> SandpileConfig:
     """Pointwise addition followed by stabilization (the group operation on
     recurrent configurations)."""
     stable, _ = stabilize(g, a + b)
     return stable
 
 
-# ---------------------------------------------------------------------------
-# Nested-volume flow along the diagonal chain.
-#
-# The chain of blocks K^1..K^m is stabilized in growing volumes: volume i is
-# K^1 u ... u K^i with the vertex (i,i) acting as sink.  The number of
-# particles arriving at (i,i) while stabilizing volume i is the observable
-# X_i; by the Abelian property the incremental procedure below (extend the
-# volume, unfreeze the previous sink, continue toppling) produces exactly the
-# same counts as stabilizing each volume from scratch.
-# ---------------------------------------------------------------------------
-
-
-class _ChainTopology:
-    """Vertex ids for the diagonal chain: block j (1-based) has bottom-left
-    3(j-1), top-left 3(j-1)+1, bottom-right 3(j-1)+2 and top-right 3j.
-    Built once per chain length by ``_chain_topology``."""
-
-    def __init__(self, m: int):
-        self.m = m
-        n = 3 * m + 1
-        self.neighbors: list[list[int]] = [[] for _ in range(n)]
-        for j in range(m):
-            block = (3 * j, 3 * j + 1, 3 * j + 2, 3 * j + 3)
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    self.neighbors[block[a]].append(block[b])
-                    self.neighbors[block[b]].append(block[a])
-        self.degree = [len(lst) for lst in self.neighbors]
-
-    @staticmethod
-    def vertex_id(v: Coord) -> int | None:
-        x, y = v
-        if x == y:
-            return 3 * x
-        if y == x + 1:
-            return 3 * x + 1
-        if x == y + 1:
-            return 3 * y + 2
-        return None
-
-
 @lru_cache(maxsize=None)
-def _chain_topology(m: int) -> _ChainTopology:
-    return _ChainTopology(m)
-
-
-def _chain_flow(heights: list[int], m: int, stop_at_absorption: bool = False) -> list[int]:
-    """Particle counts arriving at (i,i) for i = 1..m under nested-volume
-    stabilization.  With stop_at_absorption, the trajectory is cut short once
-    it hits 0 or reaches 4 (both values persist from that point on)."""
-    topo = _chain_topology(m)
-    h = list(heights)
-    counts: list[int] = []
-    for i in range(1, m + 1):
-        sink = 3 * i
-        limit = sink  # ids < limit are active in volume i
-        collected = 0
-        queue = [v for v in range(limit) if h[v] >= topo.degree[v]]
-        in_queue = [False] * limit
-        for v in queue:
-            in_queue[v] = True
-        while queue:
-            v = queue.pop()
-            in_queue[v] = False
-            d = topo.degree[v]
-            fire = h[v] // d
-            if fire <= 0:
-                continue
-            h[v] -= fire * d
-            for w in topo.neighbors[v]:
-                if w == sink:
-                    collected += fire
-                else:  # neighbors of active vertices never exceed the sink id
-                    h[w] += fire
-                    if h[w] >= topo.degree[w] and not in_queue[w]:
-                        queue.append(w)
-                        in_queue[w] = True
-            if h[v] >= d and not in_queue[v]:
-                queue.append(v)
-                in_queue[v] = True
-        counts.append(collected)
-        h[sink] += collected
-        if stop_at_absorption and collected in (0, 4):
-            break
-    return counts
+def _chain_volume(i: int) -> BlockTree:
+    """Volume i of the diagonal chain as a block tree: blocks K^1..K^i, with
+    block j + 1 on rows (3j, 3j + 1, 3j + 2, 3j + 3) for the corners
+    (j, j), (j, j + 1), (j + 1, j), (j + 1, j + 1), and (i, i), at 3i, as
+    the sink."""
+    return BlockTree(3 * np.arange(i)[:, None] + np.arange(4))
 
 
 def boundary_flow(
@@ -475,6 +402,15 @@ def boundary_flow(
 ) -> list[int]:
     """Stabilize c in nested volumes along the diagonal chain and report the
     particle count arriving at each requested checkpoint (i, i).
+
+    Volume i is K^1 u ... u K^i with (i, i) acting as its sink, and X_i is
+    the number of particles arriving at (i, i) while volume i stabilizes.
+    Each volume is stabilized with ``stabilize`` on its block tree, from the
+    stable volume i - 1 with the X_{i-1} particles added at (i - 1, i - 1)
+    and block i's heights; by the Abelian property this gives the same
+    counts as stabilizing each volume from scratch.  Unlike the Monte Carlo
+    walk in ``chain``, this takes any heights on the chain, whose volumes
+    need not end recurrent.
 
     The configuration must be supported on the diagonal chain (mass beyond
     the last checkpoint is legal but stays frozen and cannot influence the
@@ -495,16 +431,19 @@ def boundary_flow(
         raise ValueError("checkpoints must be strictly ascending along the diagonal")
     m = ids[-1]
 
-    chain_heights = [0] * (3 * m + 1)
-    for vi, height in enumerate(c.heights):
-        if height == 0:
-            continue
-        cid = _ChainTopology.vertex_id(g.vertices[vi])
-        if cid is None:
-            raise ValueError(
-                f"configuration has mass at {g.vertices[vi]}, off the diagonal chain"
-            )
+    heights = np.zeros(3 * m + 1, dtype=np.int64)
+    for vi in np.flatnonzero(c.heights):
+        x, y = g.vertices[vi]
+        if abs(x - y) > 1:
+            raise ValueError(f"configuration has mass at {(x, y)}, off the diagonal chain")
+        # (x, x) has chain id 3x, (x, x + 1) has 3x + 1 and (x + 1, x) has 3x + 2
+        cid = 3 * min(x, y) + (y - x) % 3
         if cid < 3 * m:
-            chain_heights[cid] = int(height)
-    counts = _chain_flow(chain_heights, m)
+            heights[cid] = c.heights[vi]
+    counts = []
+    for i in range(1, m + 1):
+        stable, report = stabilize(_chain_volume(i), SandpileConfig(heights[: 3 * i]))
+        heights[: 3 * i] = stable.heights
+        heights[3 * i] += report.sink_particles
+        counts.append(report.sink_particles)
     return [counts[i - 1] for i in ids]

@@ -191,6 +191,62 @@ def nested_volume_counts(g: VicsekGraph, c: SandpileConfig, m: int) -> list[int]
     return counts
 
 
+def chain_queue_flow(heights: list[int], m: int, stop_at_absorption: bool = False) -> list[int]:
+    """Nested-volume flow along the diagonal chain by a single-vertex queue:
+    the particle counts arriving at (i, i) for i = 1..m.
+
+    Chain ids: block j (1-based) has bottom-left 3(j-1), top-left
+    3(j-1)+1, bottom-right 3(j-1)+2 and top-right 3j.  Volume i is
+    K^1 u ... u K^i with 3i acting as sink; after it is stable, the
+    particles collected at 3i join that vertex's height and volume i+1 is
+    stabilized.  With stop_at_absorption, the trajectory is cut short once
+    it hits 0 or reaches 4 (both values persist from that point on).
+    """
+    n = 3 * m + 1
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for j in range(m):
+        block = (3 * j, 3 * j + 1, 3 * j + 2, 3 * j + 3)
+        for a in range(4):
+            for b in range(a + 1, 4):
+                neighbors[block[a]].append(block[b])
+                neighbors[block[b]].append(block[a])
+    degree = [len(lst) for lst in neighbors]
+    h = list(heights)
+    counts: list[int] = []
+    for i in range(1, m + 1):
+        sink = 3 * i
+        limit = sink  # ids < limit are active in volume i
+        collected = 0
+        queue = [v for v in range(limit) if h[v] >= degree[v]]
+        in_queue = [False] * limit
+        for v in queue:
+            in_queue[v] = True
+        while queue:
+            v = queue.pop()
+            in_queue[v] = False
+            d = degree[v]
+            fire = h[v] // d
+            if fire <= 0:
+                continue
+            h[v] -= fire * d
+            for w in neighbors[v]:
+                if w == sink:
+                    collected += fire
+                else:  # neighbors of active vertices never exceed the sink id
+                    h[w] += fire
+                    if h[w] >= degree[w] and not in_queue[w]:
+                        queue.append(w)
+                        in_queue[w] = True
+            if h[v] >= d and not in_queue[v]:
+                queue.append(v)
+                in_queue[v] = True
+        counts.append(collected)
+        h[sink] += collected
+        if stop_at_absorption and collected in (0, 4):
+            break
+    return counts
+
+
 def k4_spanning_trees():
     """All spanning trees of K4 (vertices 0..3), as frozensets of edges."""
     from itertools import combinations

@@ -22,8 +22,18 @@ from vicsek_sandpile import (
     transient_mass,
     transition_matrix,
 )
-from vicsek_sandpile.chain import _BLOCK_TRIALS, STATES, SingularMatrixError, TransitionMatrix
+from vicsek_sandpile.chain import (
+    _BLOCK_TRIALS,
+    STATES,
+    SingularMatrixError,
+    TransitionMatrix,
+    _k4_walk_table,
+    _run_sandpile_trials,
+)
 from vicsek_sandpile.fractal_graph import has_ternary_digit_two
+from vicsek_sandpile.sandpile import _K4_RECURRENT
+
+from .oracles import chain_queue_flow
 
 F = Fraction
 
@@ -359,6 +369,78 @@ def test_monte_carlo_sandpile_mode():
     est = monte_carlo_stabilization("sandpile", 2, 3000, rng=99)
     assert abs(est.estimate - 0.75) < 4 * est.stderr + 1e-9
     assert est.truncated <= est.trials
+
+
+# sandpile-mode counts (stabilized, exploded, truncated) per (level, trials,
+# seed), as the queue engine gave them one trial at a time
+SANDPILE_COUNTS = {
+    (1, 2500, 7): (1715, 461, 324),
+    (2, 3000, 99): (2252, 741, 7),
+    (3, 3000, 7): (2234, 766, 0),
+    (4, 2000, 11): (1475, 525, 0),
+}
+
+
+def test_monte_carlo_sandpile_counts_pinned():
+    for (level, trials, seed), want in SANDPILE_COUNTS.items():
+        est = monte_carlo_stabilization("sandpile", level, trials, rng=seed)
+        assert (est.stabilized, est.exploded, est.truncated) == want, (level, trials, seed)
+
+
+def test_k4_walk_table():
+    """Nothing arriving passes nothing, four arriving pass four, and the
+    other columns are the engine's table in the samplers' row order."""
+    walk = _k4_walk_table()
+    assert walk.shape == (16, 5)
+    assert np.all(walk[:, 0] == 0) and np.all(walk[:, 4] == 4)
+    for block, row in zip(_K4_RECURRENT.tolist(), walk.tolist()):
+        assert tuple(row[1:4]) == COLLECTED[tuple(block)]
+
+
+def queue_flow_of_blocks(picks, added: int, **kwargs) -> list[int]:
+    """The queue engine on the diagonal chain assembled from rows picks of
+    the recurrent K4 table, with the +3 gluing at the interior cutpoints and
+    `added` particles at the origin."""
+    m = len(picks)
+    heights = np.zeros(3 * m + 1, dtype=np.int64)
+    heights[: 3 * m] = _K4_RECURRENT[np.asarray(picks)].ravel()
+    heights[3 : 3 * m : 3] += 3
+    heights[0] += added
+    return chain_queue_flow(heights.tolist(), m, **kwargs)
+
+
+def walk_of_blocks(picks, added: int) -> list[int]:
+    walk, state, states = _k4_walk_table(), added, []
+    for b in picks:
+        state = int(walk[b, state])
+        states.append(state)
+    return states
+
+
+def test_walk_matches_queue_engine_on_two_block_chains():
+    """The reflector lemma, exhaustively over two blocks: the table walk
+    gives the queue engine's count at both cutpoints."""
+    for picks in product(range(16), repeat=2):
+        for added in (1, 2, 3, 4):
+            assert walk_of_blocks(picks, added) == queue_flow_of_blocks(picks, added)
+
+
+def test_walk_matches_queue_engine_on_long_chains():
+    rng = np.random.default_rng(2718)
+    for _ in range(300):
+        picks = rng.integers(0, 16, size=27)
+        added = int(rng.integers(1, 5))
+        assert walk_of_blocks(picks, added) == queue_flow_of_blocks(picks, added)
+
+
+def test_sandpile_trials_match_queue_engine():
+    """The Monte Carlo kernel classifies the same drawn blocks as the queue
+    engine stopped at absorption."""
+    trials, level = 400, 3
+    picks = np.random.default_rng(41).integers(0, 16, size=(trials, 3**level))
+    last = [queue_flow_of_blocks(row, 1, stop_at_absorption=True)[-1] for row in picks]
+    want = (last.count(0), last.count(4), trials - last.count(0) - last.count(4))
+    assert _run_sandpile_trials(trials, level, np.random.default_rng(41)) == want
 
 
 def test_monte_carlo_modes_agree():

@@ -16,7 +16,7 @@ from vicsek_sandpile import (
     has_ternary_digit_two,
     kappa,
 )
-from vicsek_sandpile.fractal_graph import descendants, ternary_digits
+from vicsek_sandpile.fractal_graph import BlockTree, descendants, ternary_digits
 
 from .oracles import five_copy_union, nx_graph
 
@@ -117,6 +117,20 @@ def test_vertex_tree_preorder(level):
     for block, root in zip(g.blocks.tolist(), g.block_roots.tolist()):
         corners = [v for v in block if v != root]
         assert all(span[c] == subtree[corners].sum() for c in corners)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_block_tree_from_the_block_table(level):
+    """A block tree built from the graph's block table alone derives the
+    same adjacency and block-tree layout as the graph."""
+    g = build(level)
+    tree = BlockTree(g.blocks)
+    assert tree.num_vertices == g.num_vertices and tree.sink_index == g.sink_index
+    for name in ("degrees", "indptr", "nbr_indices", "sink_degrees", "block_roots"):
+        assert np.array_equal(getattr(tree, name), getattr(g, name)), name
+    assert tree.neighbors == g.neighbors
+    for ours, theirs in zip(tree.vertex_tree, g.vertex_tree):
+        assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("level", range(5))

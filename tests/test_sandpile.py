@@ -23,6 +23,7 @@ from vicsek_sandpile import (
 from vicsek_sandpile.identity import identity
 from vicsek_sandpile.recurrence import is_recurrent
 from vicsek_sandpile.sandpile import (
+    _chain_volume,
     _laplacian,
     _odometer_lower_bound,
     _recurrent_representative,
@@ -31,6 +32,7 @@ from vicsek_sandpile.sandpile import (
 
 from .oracles import (
     burns,
+    chain_queue_flow,
     exact_least_action_stabilize,
     nested_volume_counts,
     random_order_stabilize,
@@ -148,24 +150,27 @@ def stabilize_cases(draw):
     2^38 or 2^40 particles on one level-1 vertex over small heights, the
     maximal stable configuration with the origin's block emptied and 10
     particles next to the sink at level 2 or 3, whose result is not
-    recurrent, or random heights from 0 to 40 over a hole up to 10 particles
-    per vertex deep."""
-    kind = draw(
-        st.sampled_from(["random", "multiple", "identity", "particles", "pile", "emptied", "hole"])
-    )
+    recurrent, random heights from 0 to 40 over a hole up to 10 particles
+    per vertex deep, or a chain of 1 to 12 K4 blocks, the block tree of a
+    nested volume of the diagonal chain, with random heights from -5 to 40
+    or a uniform recurrent configuration plus 1 to 8 particles."""
+    kinds = ["random", "multiple", "identity", "particles", "pile", "emptied", "hole", "chain"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "pile":
         g = build(1)
+    elif kind == "chain":
+        g = _chain_volume(draw(st.integers(1, 12)))
     else:
         g = build(draw(st.integers(2 if kind == "emptied" else 0, 3)))
     n = g.num_vertices - 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "random":
+    if kind == "random" or (kind == "chain" and draw(st.booleans())):
         heights = rng.integers(-5, 41, size=n)
     elif kind == "multiple":
         heights = sample_recurrent(g, rng).heights * draw(st.integers(1, 8))
     elif kind == "identity":
         heights = (identity(g.level) + sample_recurrent(g, rng)).heights
-    elif kind == "particles":
+    elif kind in ("particles", "chain"):
         heights = sample_recurrent(g, rng).heights
         sites = rng.integers(0, n, size=draw(st.integers(1, 3)))
         np.add.at(heights, rng.choice(sites, size=draw(st.integers(1, 8))), 1)
@@ -358,6 +363,19 @@ def test_add_particles(g1):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("i", [1, 2, 5, 9])
+def test_chain_volume_is_the_diagonal_chain(g2, i):
+    """Volume i's block tree holds the level-2 graph's edges among the
+    diagonal chain's vertices up to (i, i), its sink, and its block roots
+    are the cutpoints (1, 1) .. (i, i)."""
+    vol = _chain_volume(i)
+    coords = [v for x in range(i) for v in ((x, x), (x, x + 1), (x + 1, x))] + [(i, i)]
+    idx = [g2.vertex_index(v) for v in coords]
+    assert vol.num_vertices == len(coords) and vol.sink_index == 3 * i
+    assert (g2.adjacency[idx][:, idx] != vol.adjacency).nnz == 0
+    assert vol.block_roots.tolist() == [3 * j for j in range(1, i + 1)]
+
+
 def all_two_blocks(m):
     return [SandpileConfig([2, 2, 2]) for _ in range(m)]
 
@@ -429,6 +447,25 @@ def test_boundary_flow_matches_full_graph_oracle(g2, rng):
         chain_config = add_particles(g2, SandpileConfig(heights), (0, 0), 1)
         counts = boundary_flow(g2, chain_config, [(i, i) for i in range(1, 10)])
         assert counts == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(-5, 0), st.sampled_from([4, 7, 12, 41]), st.data())
+def test_boundary_flow_matches_queue_engine(level, low, high, data):
+    """boundary_flow against the queue engine on arbitrary heights over the
+    whole diagonal chain, beyond the last checkpoint too: negative, small or
+    far above the degrees, so that volumes need not end recurrent."""
+    g = build(level)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    chain = rng.integers(low, high, size=3 * g.side)
+    heights = np.zeros(g.num_vertices - 1, dtype=np.int64)
+    for cid, h in enumerate(chain.tolist()):
+        x, corner = divmod(cid, 3)
+        heights[g.vertex_index([(x, x), (x, x + 1), (x + 1, x)][corner])] = h
+    stops = sorted(data.draw(st.sets(st.integers(1, g.side), min_size=1)))
+    counts = boundary_flow(g, SandpileConfig(heights), [(i, i) for i in stops])
+    full = chain_queue_flow(chain.tolist() + [0], g.side)
+    assert counts == [full[i - 1] for i in stops]
 
 
 def test_overflow_guard(g0):
