@@ -5,7 +5,8 @@ Commands
 graph     vertex/edge counts and degree histogram of a level graph (JSON)
 chain     exact rational tables: matrix | absorb | kstep | pmf (CSV or JSON)
 mc        Monte Carlo stabilization estimate with stderr band (JSON record)
-group     invariant factors of the sandpile group (JSON array of strings)
+group     invariant factors of the sandpile group, read off the block tree
+          (JSON array of strings)
 identity  the group identity configuration (JSON; optional PGM/SVG render)
 
 Exit codes: 0 success, 2 usage or validation, 3 capacity, 4 verification
@@ -196,6 +197,8 @@ def cmd_chain(args) -> int:
 
 def cmd_mc(args) -> int:
     started = time.monotonic()
+    if args.workers < 0:
+        raise ValueError("--workers must be non-negative (0 = all cores)")
     workers = args.workers if args.workers else default_workers()
     est = monte_carlo_stabilization(
         args.mode, args.level, args.trials, args.seed, workers=workers
@@ -279,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--workers", type=int, default=0, help="0 = all cores")
     p_mc.set_defaults(func=cmd_mc)
 
-    p_group = sub.add_parser("group", help="invariant factors as JSON")
+    p_group = sub.add_parser(
+        "group",
+        help="invariant factors as JSON, the K4 block's once per block, at any buildable level",
+    )
     p_group.add_argument("--level", type=int, required=True)
     p_group.set_defaults(func=cmd_group)
 

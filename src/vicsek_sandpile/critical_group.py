@@ -1,17 +1,33 @@
-"""The sandpile group as the cokernel of the reduced Laplacian.
+"""The sandpile group, read off the block tree.
 
 Deleting the sink row and column of the graph Laplacian leaves a symmetric,
-diagonally dominant integer matrix whose cokernel is the group of recurrent
-configurations under add-and-stabilize.  Its Smith normal form gives the
-invariant factors; on the level-n Vicsek graph the reduced Laplacian is
-3*5^n square and these are 5^n ones followed by 2*5^n fours, i.e. the group
-is (Z/4)^(2*5^n) and the number of spanning trees is 16^(5^n).
+diagonally dominant integer matrix L whose cokernel Z^N / L Z^N is the
+group of recurrent configurations under add-and-stabilize.
 
-The Smith normal form is computed by exact integer elimination with
-minimal-absolute-value pivoting and the usual divisibility repair (add an
-offending row into the pivot row and re-eliminate).  Row operations run
-vectorized on int64 with an explicit magnitude guard; if a computation ever
-approaches the word size it is redone with arbitrary-precision integers.
+On a tree of K4 blocks glued at cut vertices, such as the Vicsek graph, the
+group is the direct sum of the blocks' groups (Klivans, *The Mathematics of
+Chip-Firing*, 2018), and the block tree gives it explicit coordinates.  For
+a block B with non-root corners c1, c2, c3, let S(c) be the sum of the
+heights over c and everything hanging from it, and put
+
+    pi_B(h) = ((S(c1) - S(c3)) mod 4, (S(c2) - S(c3)) mod 4).
+
+Firing c_i changes B's triple S by -3 at c_i and +1 at the other two,
+firing B's root by (1, 1, 1), and firing any other vertex leaves it alone,
+so pi_B vanishes on L Z^N.  The 16^(5^n) block-product recurrent
+configurations (see ``recurrence``) take every value of the product of the
+pi_B, and they are as many as the group's elements, so the product is an
+isomorphism onto (Z/4)^(2*5^n).  Hence the invariant factors are the K4
+block's (1, 4, 4) once per block, 5^n ones and 2*5^n fours at level n, and
+the order of an element is the largest order among its coordinates.
+
+``smith_normal_form`` stays as a general tool, and the tests use it as the
+cross-check of the block decomposition.  It works by exact integer
+elimination with minimal-absolute-value pivoting and the usual divisibility
+repair (add an offending row into the pivot row and re-eliminate).  Row
+operations run vectorized on int64 with an explicit magnitude guard; if a
+computation ever approaches the word size it is redone with
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -20,11 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import CapacityError, Coord, VicsekGraph, build
+from .fractal_graph import BlockTree, Coord, VicsekGraph, build
 from .recurrence import _as_generator, is_recurrent, sample_recurrent
-from .sandpile import SandpileConfig, add_particles, group_add, stabilize
-
-SNF_LEVEL_CAP = 3
+from .sandpile import SandpileConfig, _check_config, _k4_class, add_particles, stabilize
 
 _INT64_GUARD = 2**60
 
@@ -138,14 +152,12 @@ def smith_normal_form(mat) -> InvariantFactors:
 
 
 def group_structure(level: int) -> InvariantFactors:
-    """Invariant factors of the sandpile group at the given level."""
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    if level > SNF_LEVEL_CAP:
-        raise CapacityError(
-            f"group structure is computed exactly up to level {SNF_LEVEL_CAP}"
-        )
-    return smith_normal_form(reduced_laplacian(build(level)))
+    """Invariant factors of the sandpile group at the given level: the K4
+    block's, once per block (see the module docstring).  Every level that
+    ``build`` accepts works."""
+    blocks = len(build(level).blocks)
+    block = smith_normal_form(reduced_laplacian(build(0))).factors
+    return InvariantFactors(tuple(sorted(block * blocks)))
 
 
 def order2_count(level: int) -> int:
@@ -157,20 +169,30 @@ def order2_count(level: int) -> int:
     return out
 
 
-def element_order(g: VicsekGraph, eta: SandpileConfig, identity: SandpileConfig) -> int:
-    """Order of a recurrent configuration in the sandpile group, by repeated
-    doubling; on Vicsek graphs every order divides 4."""
+def group_coordinates(g: BlockTree, c: SandpileConfig) -> np.ndarray:
+    """The coordinates of c's class in (Z/4)^(2 * blocks), one row pi_B per
+    block, row-aligned with ``g.blocks`` (see the module docstring).  Two
+    configurations are equivalent exactly when their coordinates agree; the
+    heights may be any integers.  The subtree sums S are differences of one
+    prefix sum over the preorder of ``g.vertex_tree``."""
+    _check_config(g, c)
+    tree = g.vertex_tree
+    prefix = np.zeros(len(c.heights) + 1, dtype=np.int64)
+    np.cumsum((c.heights % 4)[tree.order], out=prefix[1:])  # mod 4 keeps it small
+    subtree = np.empty_like(prefix[1:])
+    subtree[tree.order] = prefix[tree.stop] - prefix[:-1]
+    return np.stack(_k4_class(subtree[g.block_corners]), axis=1)
+
+
+def element_order(g: BlockTree, eta: SandpileConfig) -> int:
+    """Order of a recurrent configuration in the sandpile group: the largest
+    order of its group coordinates in Z/4, so 1, 2 or 4."""
     if not is_recurrent(g, eta):
         raise ValueError("element order is defined for recurrent configurations")
-    if eta == identity:
+    pi = group_coordinates(g, eta)
+    if not pi.any():
         return 1
-    squared = group_add(g, eta, eta)
-    if squared == identity:
-        return 2
-    fourth = group_add(g, squared, squared)
-    if fourth == identity:
-        return 4
-    raise ArithmeticError("element order exceeds 4; not a Vicsek sandpile group?")
+    return 4 if np.any(pi % 2) else 2
 
 
 @dataclass

@@ -167,13 +167,18 @@ class BlockTree:
         return self.blocks[np.arange(len(self.blocks)), corner]
 
     @cached_property
+    def block_corners(self) -> np.ndarray:
+        """Each block's three corners other than its root, in the block
+        table's order, row-aligned with ``blocks``.  Every non-sink vertex is
+        a non-root corner of exactly one block."""
+        return self.blocks[self.blocks != self.block_roots[:, None]].reshape(-1, 3)
+
+    @cached_property
     def block_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The blocks grouped by the depth of their root in the block tree,
         deepest first, the order in which leaves-first sweeps visit them: per
-        depth, the blocks' roots and, row by row, their three other corners.
-        Every non-sink vertex is a non-root corner of exactly one block."""
-        roots = self.block_roots
-        corners = self.blocks[self.blocks != roots[:, None]].reshape(-1, 3)
+        depth, the blocks' roots and, row by row, their non-root corners."""
+        roots, corners = self.block_roots, self.block_corners
         depth = self.distance_to_sink()[roots]
         levels = []
         for d in range(depth.max(), -1, -1):

@@ -1,20 +1,26 @@
-"""Construction of the sandpile group identity by five-copy merging.
+"""The sandpile group identity, read off the block tree, and its checks.
 
-A level-n configuration is assembled from five level-(n-1) configurations
-placed on the LB, RB, RT, LT and middle copies.  The RB copy is rotated a
-quarter turn one way and the LT copy the other way, so that each rotated
-copy's local sink lands on the cutpoint whose height the merge overrides;
-the four cutpoints receive k extra particles on top of the value inherited
-from the middle (or, at the top-right cutpoint, the RT) copy.
+The identity is the recurrent configuration in the class of 0, the one the
+leaves-first sweep ``sandpile._recurrent_representative`` returns for the
+zero heights.  Its heights are 2 off the cutpoints, 5 on block-scale
+cutpoints (those joining two K4 blocks of the same level-1 square) and 4 on
+all coarser cutpoints.
 
-The level-1 identity is the k = 3 merge of five all-2 blocks (its four
-cutpoints carry height 5); every later level is the k = 2 merge of five
-copies of the previous identity.  The resulting heights are 2 off the
-cutpoints, 5 on block-scale cutpoints and 4 on all coarser ones, matching
-the fourfold-stabilization oracle exactly (see tests).  The verification
-routine checks the identity laws directly with the sandpile engine and
-additionally confirms that stabilizing four times the identity sends
-2 mod 4 particles into the sink, the invariant that drives the recursion.
+The same configuration comes from five-copy merging, the paper's
+construction: a level-n configuration is assembled from five level-(n-1)
+configurations placed on the LB, RB, RT, LT and middle copies.  The RB copy
+is rotated a quarter turn one way and the LT copy the other way, so that
+each rotated copy's local sink lands on the cutpoint whose height the merge
+overrides; the four cutpoints receive k extra particles on top of the value
+inherited from the middle (or, at the top-right cutpoint, the RT) copy.  The
+level-1 identity is the k = 3 merge of five all-2 blocks, and every later
+level is the k = 2 merge of five copies of the previous identity; the tests
+check the identity against that recursion, built from ``merge``.
+
+The verification routine checks the identity laws with the sandpile engine,
+independently of the block tree, and additionally confirms that stabilizing
+four times the identity sends 2 mod 4 particles into the sink, the
+invariant that drives the recursion.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .fractal_graph import Coord, VicsekGraph, build
 from .recurrence import _as_generator, is_recurrent, sample_recurrent
-from .sandpile import SandpileConfig, group_add, stabilize
+from .sandpile import SandpileConfig, _recurrent_representative, group_add, stabilize
 
 
 class VerificationError(RuntimeError):
@@ -102,26 +108,10 @@ def merge(g: VicsekGraph, spec: MergeSpec) -> SandpileConfig:
 
 
 def identity(level: int) -> SandpileConfig:
-    """Group identity of the level-n sandpile group, built recursively.
-
-    Level 0 is the all-2 configuration.  The first merge uses cutpoint bump
-    3 (the four level-1 cutpoints carry height 2 + 3), all later merges use
-    bump 2; both choices are forced by the fourfold-stabilization oracle
-    (4*eta followed by stabilization yields the identity for any recurrent
-    eta, since every group element has order dividing 4).
-    """
-    if level < 0:
-        raise ValueError("level must be non-negative")
-    build(level)  # enforce the cap before doing any work
-    current = SandpileConfig.constant(build(0), 2)
-    for n in range(1, level + 1):
-        g = build(n)
-        bump = 3 if n == 1 else 2
-        current = merge(
-            g,
-            MergeSpec(k=bump, lb=current, rb=current, rt=current, lt=current, mid=current),
-        )
-    return current
+    """Group identity of the level-n sandpile group: the recurrent
+    configuration equivalent to the zero heights."""
+    g = build(level)
+    return SandpileConfig(_recurrent_representative(g, SandpileConfig.zeros(g).heights))
 
 
 @dataclass
@@ -151,8 +141,10 @@ def verify_identity(
         sink.
 
     Raises VerificationError naming the failed clauses; returns the report
-    when everything passes.
+    when everything passes.  Clauses (c) and (d) need at least one sample.
     """
+    if samples < 1:
+        raise ValueError("identity verification needs at least one sample")
     rng = _as_generator(rng)
     report = IdentityReport(level=g.level, samples=samples)
     report.height_histogram = dict(sorted(Counter(candidate.heights.tolist()).items()))

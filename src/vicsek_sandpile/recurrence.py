@@ -4,11 +4,10 @@ spanning trees, and samplers for the infinite-volume limit.
 A stable configuration is recurrent exactly when Dhar's burning test
 passes: add one particle to each vertex for every edge it shares with the
 sink, stabilize, and check that every vertex toppled exactly once and the
-configuration returned to its start.  Each class of the sandpile group holds
-exactly one recurrent configuration, and the block tree gives it without
-stabilizing (``sandpile._recurrent_representative``), so ``is_recurrent``
-checks that a stable configuration is its own representative.  The
-stabilizing burning test stays in the tests as the reference.
+configuration returned to its start.  On a tree of K4 blocks the test
+needs no stabilization: the recurrent set is the block product below, so
+``is_recurrent`` checks each block's triple against Dhar's criterion on K4.
+The stabilizing burning test stays in the tests as the reference.
 
 Recurrent configurations are in bijection with spanning trees rooted at the
 sink; sampling a uniform spanning tree with Wilson's loop-erased-random-walk
@@ -20,10 +19,11 @@ recurrent set is a product over the blocks: a recurrent K4 configuration on
 each block's three corners away from its root (the corner nearest the sink),
 plus three particles at every non-sink root.  Each such configuration burns
 block by block, distinct choices differ, and there are 16^(5^n) of them, the
-number of spanning trees; so ``sample_recurrent`` draws the blocks
-independently and is exactly uniform, and ``sample_ivl_diagonal`` does the
-same on the diagonal chain.  Wilson's algorithm and the burning bijection
-stay as the structure-free reference the tests compare against.
+number of spanning trees; so they are all the recurrent configurations,
+``sample_recurrent`` draws the blocks independently and is exactly uniform,
+and ``sample_ivl_diagonal`` does the same on the diagonal chain.
+Wilson's algorithm and the burning bijection stay as the structure-free
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from itertools import product
 
 import numpy as np
 
-from .fractal_graph import VicsekGraph, build
+from .fractal_graph import BlockTree, VicsekGraph, build
 # stabilize is no longer called here; a benchmark harness test asserts that
 # this module binds it, and the import goes with that assertion (ROADMAP
 # item 6, benchmark upkeep)
 from .sandpile import (  # noqa: F401
     _K4_RECURRENT,
     SandpileConfig,
-    _recurrent_representative,
+    _glue,
     is_stable,
     stabilize,
 )
@@ -123,13 +123,17 @@ class PermutedEdgeOrder(EdgeOrder):
         return int(self.perm[w])
 
 
-def is_recurrent(g: VicsekGraph, c: SandpileConfig) -> bool:
-    """Dhar's burning test; input must be stable.  A stable configuration is
-    recurrent exactly when it is its own recurrent representative, the one
-    recurrent configuration of its class (see ``stabilize``)."""
+def is_recurrent(g: BlockTree, c: SandpileConfig) -> bool:
+    """Dhar's burning test, block by block; input must be stable.  The
+    recurrent configurations are the block products (see the module
+    docstring), so a stable configuration is recurrent exactly when on every
+    block its non-root corners, less the glue, hold a recurrent K4 triple:
+    one whose sorted heights are at least (0, 1, 2).  Stability already
+    bounds each of them by 2."""
     if not is_stable(g, c):
         raise ValueError("the burning test applies to stable configurations only")
-    return bool(np.array_equal(_recurrent_representative(g, c.heights), c.heights))
+    q = (c.heights - _glue(g))[g.block_corners]
+    return bool(np.all(np.sort(q, axis=1) >= np.arange(3)))
 
 
 @lru_cache(maxsize=1)
@@ -231,12 +235,11 @@ def sample_recurrent(g: VicsekGraph, rng) -> SandpileConfig:
     recurrent K4 configuration per block on its three non-root corners (in
     canonical order), plus three particles at every non-sink block root."""
     rng = _as_generator(rng)
-    roots = g.block_roots
-    others = g.blocks[g.blocks != roots[:, None]].reshape(-1, 3)
-    heights = np.zeros(g.num_vertices, dtype=np.int64)
-    heights[others] = _K4_RECURRENT[rng.integers(0, len(_K4_RECURRENT), size=len(g.blocks))]
-    heights[roots] += 3
-    return SandpileConfig(heights[:-1])
+    heights = _glue(g)
+    heights[g.block_corners] += _K4_RECURRENT[
+        rng.integers(0, len(_K4_RECURRENT), size=len(g.blocks))
+    ]
+    return SandpileConfig(heights)
 
 
 def sample_ivl_diagonal(m: int, rng) -> list[SandpileConfig]:

@@ -275,6 +275,14 @@ def _odometer_lower_bound(g: BlockTree, heights: np.ndarray) -> np.ndarray:
     return np.maximum(-(-_solve_times_four(g, b) >> 2), 0)
 
 
+def _glue(g: BlockTree) -> np.ndarray:
+    """The 3 particles a recurrent configuration carries at every non-sink
+    block root on top of its blocks' recurrent K4 triples, per non-sink
+    vertex.  A non-sink vertex lies in one block as a non-root corner and,
+    when it is a cut vertex, in one more as its root, so this is deg - 3."""
+    return g.degrees[:-1] - 3
+
+
 def _recurrent_representative(g: BlockTree, heights: np.ndarray) -> np.ndarray:
     """The recurrent configuration r equivalent to heights modulo L Z^n, in
     one leaves-first sweep over the block tree.
@@ -290,15 +298,14 @@ def _recurrent_representative(g: BlockTree, heights: np.ndarray) -> np.ndarray:
     every block plus 3 at every non-sink root, which is recurrent (see
     ``recurrence``).
     """
-    glue = np.zeros(g.num_vertices, dtype=np.int64)
-    glue[g.block_roots] = 3  # the sink's entry is dropped with the sink
-    local = np.append(heights, 0) - glue
+    glue = _glue(g)
+    local = np.append(heights - glue, 0)
     for roots, corners in g.block_levels:
         q = local[corners]
         t = _K4_BY_CLASS[_k4_class(q)]
         local[roots] += (q - t).sum(axis=1)
         local[corners] = t
-    return (local + glue)[:-1]
+    return local[:-1] + glue
 
 
 def stabilize(g: BlockTree, c: SandpileConfig) -> tuple[SandpileConfig, AvalancheReport]:

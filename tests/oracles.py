@@ -13,7 +13,15 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from vicsek_sandpile import SandpileConfig, VicsekGraph, build, enumerate_recurrent_k4
+from vicsek_sandpile import (
+    MergeSpec,
+    SandpileConfig,
+    VicsekGraph,
+    build,
+    enumerate_recurrent_k4,
+    group_add,
+    merge,
+)
 
 
 def nx_graph(g: VicsekGraph) -> nx.Graph:
@@ -95,6 +103,33 @@ def burns(g: VicsekGraph, c: SandpileConfig) -> bool:
     returns c."""
     out, odometer, _ = round_stabilize(g, SandpileConfig(c.heights + g.sink_degrees))
     return out == c and bool(np.all(odometer == 1))
+
+
+def doubling_order(g: VicsekGraph, eta: SandpileConfig, identity: SandpileConfig) -> int:
+    """Order of a recurrent configuration by repeated doubling with the
+    engine; on Vicsek graphs every order divides 4."""
+    if eta == identity:
+        return 1
+    squared = group_add(g, eta, eta)
+    if squared == identity:
+        return 2
+    fourth = group_add(g, squared, squared)
+    if fourth == identity:
+        return 4
+    raise ArithmeticError("element order exceeds 4; not a Vicsek sandpile group?")
+
+
+def merge_identity(level: int) -> SandpileConfig:
+    """The group identity by the five-copy merge recursion: all 2 at level
+    0, then the merge of five copies of the previous identity with cutpoint
+    bump 3 at level 1 and 2 at every later level."""
+    current = SandpileConfig.constant(build(0), 2)
+    for n in range(1, level + 1):
+        k = 3 if n == 1 else 2
+        current = merge(
+            build(n), MergeSpec(k=k, lb=current, rb=current, rt=current, lt=current, mid=current)
+        )
+    return current
 
 
 def exact_laplacian_solve(g: VicsekGraph, b) -> list[Fraction]:

@@ -105,6 +105,14 @@ def test_mc_record_and_determinism(capsys):
     assert rec1["result"] == rec2["result"]
 
 
+def test_mc_rejects_negative_workers(capsys):
+    code, out, err = run(
+        capsys, "mc", "--mode", "sandpile", "--level", "2", "--trials", "10", "--workers", "-2"
+    )
+    assert code == EXIT_USAGE and "--workers" in err
+    assert out == ""
+
+
 def test_mc_capacity(capsys):
     code, _, err = run(
         capsys, "mc", "--mode", "sandpile", "--level", "7", "--trials", "10"
@@ -115,6 +123,12 @@ def test_mc_capacity(capsys):
 def test_group_command(capsys):
     code, out, _ = run(capsys, "group", "--level", "1")
     assert json.loads(out) == ["1"] * 5 + ["4"] * 10
+
+
+def test_group_level_four(capsys):
+    code, out, _ = run(capsys, "group", "--level", "4")
+    assert code == 0
+    assert json.loads(out) == ["1"] * 625 + ["4"] * 1250
 
 
 def test_group_capacity(capsys):
@@ -173,6 +187,12 @@ def test_identity_verify_level_four(capsys):
     assert data["verification"]["samples"] == 5
     assert all(data["verification"]["clauses"].values())
     assert len(data["verification"]["clauses"]) == 5
+
+
+def test_identity_verify_needs_a_sample(capsys):
+    code, out, err = run(capsys, "identity", "--level", "1", "--verify", "-3")
+    assert code == EXIT_USAGE and "sample" in err
+    assert out == ""
 
 
 def test_verification_exit_code(capsys, monkeypatch):

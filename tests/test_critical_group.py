@@ -12,6 +12,8 @@ from vicsek_sandpile import (
     build,
     element_order,
     enumerate_recurrent_k4,
+    group_add,
+    group_coordinates,
     group_structure,
     k_step_distribution,
     order2_count,
@@ -20,9 +22,11 @@ from vicsek_sandpile import (
     sink_hit_probability,
     smith_normal_form,
 )
+from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV
 from vicsek_sandpile.identity import identity
+from vicsek_sandpile.sandpile import _recurrent_representative
 
-from .oracles import cofactor_determinant
+from .oracles import cofactor_determinant, doubling_order
 
 
 def test_reduced_laplacian_k4(g0):
@@ -108,11 +112,45 @@ def test_group_structure(level, units, fours):
     assert factors.product() == 16 ** (5**level)
 
 
-def test_group_structure_cap():
+def test_group_structure_cap(monkeypatch):
+    """Only the build cap limits the group structure."""
+    counts = Counter(group_structure(6).factors)
+    assert counts == {1: 5**6, 4: 2 * 5**6}
+    monkeypatch.setenv(LEVEL_CAP_ENV, "3")
     with pytest.raises(CapacityError):
         group_structure(4)
     with pytest.raises(ValueError):
         group_structure(-1)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_group_structure_matches_snf(level):
+    """The block decomposition's factors are the reduced Laplacian's."""
+    assert group_structure(level) == smith_normal_form(reduced_laplacian(build(level)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_group_coordinates(level, seed):
+    """The coordinates vanish on the columns of the reduced Laplacian, add
+    mod 4, agree on a configuration and its recurrent representative, are
+    zero on the identity and tell sampled recurrent configurations apart."""
+    g = build(level)
+    rng = np.random.default_rng(seed)
+
+    def pi(heights):
+        return group_coordinates(g, SandpileConfig(heights))
+
+    assert pi(np.zeros(g.num_vertices - 1, dtype=np.int64)).shape == (len(g.blocks), 2)
+    for column in reduced_laplacian(g).T:
+        assert not pi(column).any()
+    a, b = rng.integers(-100, 101, size=(2, g.num_vertices - 1))
+    assert np.array_equal(pi(a + b), (pi(a) + pi(b)) % 4)
+    assert np.array_equal(pi(_recurrent_representative(g, a)), pi(a))
+    assert not pi(identity(level).heights).any()
+    sampled = [sample_recurrent(g, rng) for _ in range(30)]
+    coordinates = {eta.as_tuple(): pi(eta.heights).tobytes() for eta in sampled}
+    assert len(set(coordinates.values())) == len(coordinates)
 
 
 @pytest.mark.parametrize("level,want", [(0, 4), (1, 2**10), (2, 2**50)])
@@ -126,18 +164,19 @@ def test_order2_count_chain_inequality():
 
 
 def test_element_order_identity(g1):
-    ident = identity(1)
-    assert element_order(g1, ident, ident) == 1
+    assert element_order(g1, identity(1)) == 1
 
 
 def test_element_order_spectrum_k4(g0):
     ident = identity(0)
-    orders = Counter(
-        element_order(g0, eta, ident) for eta in enumerate_recurrent_k4()
-    )
+    recurrent = enumerate_recurrent_k4()
+    orders = Counter(element_order(g0, eta) for eta in recurrent)
     # Z4 x Z4: one identity, three elements of order 2, twelve of order 4
     assert orders == {1: 1, 2: 3, 4: 12}
     assert orders[1] + orders[2] == 4  # doubling kills exactly 4 elements
+    assert [element_order(g0, eta) for eta in recurrent] == [
+        doubling_order(g0, eta, ident) for eta in recurrent
+    ]
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -147,17 +186,19 @@ def test_element_order_divides_four(level, rng):
     seen = set()
     for _ in range(100):
         eta = sample_recurrent(g, rng)
-        order = element_order(g, eta, ident)
+        order = element_order(g, eta)
         assert order in (1, 2, 4)
+        assert order == doubling_order(g, eta, ident)
         seen.add(order)
+        doubled = group_add(g, eta, eta)  # of order 1 or 2
+        assert element_order(g, doubled) == doubling_order(g, doubled, ident)
     assert 4 in seen  # the generic order equals the largest invariant factor
     assert max(seen) == max(group_structure(level).factors)
 
 
 def test_element_order_requires_recurrent(g1):
-    ident = identity(1)
     with pytest.raises(ValueError):
-        element_order(g1, SandpileConfig.zeros(g1), ident)
+        element_order(g1, SandpileConfig.zeros(g1))
 
 
 def test_sink_hit_certain_with_four(g1, g2, rng):

@@ -74,14 +74,16 @@ def test_copy_registry(level):
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_block_roots(level):
     # each block's root is its unique corner nearest the sink; the other
-    # three corners of all blocks partition the non-sink vertices
+    # three corners of all blocks, in block order, partition the non-sink
+    # vertices
     g = build(level)
     dist = g.distance_to_sink()
-    for block, root in zip(g.blocks.tolist(), g.block_roots.tolist()):
+    rows = zip(g.blocks.tolist(), g.block_roots.tolist(), g.block_corners.tolist())
+    for block, root, corners in rows:
         assert root in block
-        assert all(dist[v] == dist[root] + 1 for v in block if v != root)
-    others = g.blocks[g.blocks != g.block_roots[:, None]]
-    assert sorted(others.tolist()) == list(range(g.num_vertices - 1))
+        assert corners == [v for v in block if v != root]
+        assert all(dist[v] == dist[root] + 1 for v in corners)
+    assert sorted(g.block_corners.ravel().tolist()) == list(range(g.num_vertices - 1))
     assert g.sink_index in g.block_roots.tolist()
     assert len(set(g.block_roots.tolist())) == len(g.blocks)
     # block_levels lists every block once, each before the block its root is
@@ -126,7 +128,8 @@ def test_block_tree_from_the_block_table(level):
     g = build(level)
     tree = BlockTree(g.blocks)
     assert tree.num_vertices == g.num_vertices and tree.sink_index == g.sink_index
-    for name in ("degrees", "indptr", "nbr_indices", "sink_degrees", "block_roots"):
+    names = ("degrees", "indptr", "nbr_indices", "sink_degrees", "block_roots", "block_corners")
+    for name in names:
         assert np.array_equal(getattr(tree, name), getattr(g, name)), name
     assert tree.neighbors == g.neighbors
     for ours, theirs in zip(tree.vertex_tree, g.vertex_tree):

@@ -14,6 +14,8 @@ from vicsek_sandpile import (
 )
 from vicsek_sandpile.identity import MergeSpec, identity
 
+from .oracles import merge_identity
+
 
 def all_two(level):
     return SandpileConfig.constant(build(level), 2)
@@ -28,6 +30,12 @@ def test_identity_level1(g1):
     cutpoints = {(1, 1), (2, 1), (1, 2), (2, 2)}
     for vi, v in enumerate(g1.vertices[:-1]):
         assert ident.heights[vi] == (5 if v in cutpoints else 2), v
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+def test_identity_matches_merge_recursion(level):
+    """The identity read off the block tree is the five-copy merge."""
+    assert identity(level) == merge_identity(level)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
@@ -139,6 +147,13 @@ def test_verify_identity_passes(level, rng):
     assert not report.failed()
     assert report.sink_particles_mod4 == 2
     assert set(report.height_histogram) <= {2, 4, 5}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_identity_needs_a_sample(g1, rng, samples):
+    # clauses (c) and (d) would hold vacuously
+    with pytest.raises(ValueError, match="sample"):
+        verify_identity(g1, identity(1), samples=samples, rng=rng)
 
 
 def test_verify_identity_rejects_non_identity(g1, rng):
