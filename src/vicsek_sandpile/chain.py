@@ -336,8 +336,45 @@ def _events_disjoint(a: ChainEvent, b: ChainEvent) -> bool:
 
 
 def radius_pmf_table(max_n: int, matrix: TransitionMatrix | None = None) -> list[tuple[int, Fraction]]:
+    """The rows (n, radius_pmf(n)) for n = 0..max_n, from shared forward and
+    backward vectors instead of one propagation per radius.
+
+    With k = kappa(n - 1), both events of ``_radius_events`` constrain X_{k+1}
+    (and the second also X_{k+2}) and end with X_{n+1} in {0, 1}, X_{n+2} = 0.
+    In numerators over powers of 16, let F_t = e_1 (16P)^t count the ways
+    from X_0 = 1 to each state at time t, and G_m = (16P)^m w, with
+    w_j = [j in {0, 1}] 16P[j][0], the ways from each state to meet the two
+    final constraints m and m + 1 steps later.  Over 16^(n+2), the mass at n is
+    then, with f = F_{k+1},
+
+        f_2 G_{n-k}[2] + f_3 G_{n-k}[3] + f_1 sum_{i=1..3} 16P[1][i] G_{n-k-1}[i].
+
+    When k + 2 = n + 1, G_0 = w keeps only i = 1, which is where the
+    constraints {1, 2, 3} and {0, 1} meet.  Every F_t and G_m is one 5x5
+    big-integer step from the one before, so the table takes O(max_n) steps.
+    ``radius_pmf`` keeps the per-radius propagation as the reference the
+    tests compare this against.
+    """
     P = matrix if matrix is not None else transition_matrix()
-    return [(n, radius_pmf(n, P)) for n in range(max_n + 1)]
+    p16 = P.scaled_by_16()
+    starts = {n: kappa(n - 1) for n in range(1, max_n + 1) if not has_ternary_digit_two(n)}
+    forward = [[1 if j == 1 else 0 for j in STATES]]
+    for _ in range(max(starts.values(), default=-1) + 1):
+        forward.append(_step_numerators(forward[-1], p16))
+    backward = [[p16[j][0] if j in (0, 1) else 0 for j in STATES]]
+    columns = [list(col) for col in zip(*p16)]  # G_{m+1} = (16P) G_m
+    for _ in range(max((n - k for n, k in starts.items()), default=0)):
+        backward.append(_step_numerators(backward[-1], columns))
+    table = []
+    for n in range(max_n + 1):
+        if n not in starts:  # n = 0 or a ternary digit 2: radius_pmf answers at once
+            table.append((n, radius_pmf(n, P)))
+            continue
+        k = starts[n]
+        f, g, h = forward[k + 1], backward[n - k], backward[n - k - 1]
+        ways = f[2] * g[2] + f[3] * g[3] + f[1] * sum(p16[1][i] * h[i] for i in (1, 2, 3))
+        table.append((n, Fraction(ways, 16 ** (n + 2))))
+    return table
 
 
 def transient_mass(k: int, start: int = 1, matrix: TransitionMatrix | None = None) -> Fraction:
@@ -364,6 +401,7 @@ class MonteCarloEstimate:
     truncated: int
     estimate: float
     stderr: float
+    workers: int  # the worker processes that ran, not the count asked for
 
     def as_dict(self) -> dict:
         return {
@@ -454,7 +492,8 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
     gather per block for all trials at once.  The trials are
     split into fixed-size blocks, each with its own child random stream;
     workers share out the blocks, and the result does not depend on how many
-    there are.
+    there are.  No more workers run than there are blocks, and the estimate
+    records how many did.
     """
     if mode not in ("chain", "sandpile"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -489,6 +528,7 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
         truncated=truncated,
         estimate=p,
         stderr=stderr,
+        workers=workers,
     )
 
 

@@ -210,7 +210,7 @@ def cmd_mc(args) -> int:
             "mode": args.mode,
             "level": args.level,
             "trials": args.trials,
-            "workers": workers,
+            "workers": est.workers,
         },
         "seed": args.seed,
         "version": __version__,

@@ -47,9 +47,15 @@ class SingularMatrixError(ArithmeticError):
     """A matrix or linear system is singular (rank deficient)."""
 
 
-def reduced_laplacian(g: VicsekGraph) -> np.ndarray:
-    """Graph Laplacian with the sink row and column removed."""
-    return np.diag(g.degrees[:-1]) - g.nonsink_adjacency.toarray()
+def reduced_laplacian(g: BlockTree) -> np.ndarray:
+    """Graph Laplacian with the sink row and column removed, dense, built
+    from the graph's flat neighbour arrays (no edge is listed twice)."""
+    n = g.num_vertices - 1
+    rows = np.repeat(np.arange(n + 1), g.degrees)
+    inside = (rows < n) & (g.nbr_indices < n)
+    out = np.diag(g.degrees[:-1])
+    out[rows[inside], g.nbr_indices[inside]] -= 1
+    return out
 
 
 class _Int64Overflow(Exception):

@@ -26,10 +26,12 @@ import os
 from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 Coord = tuple[int, int]
 
@@ -139,16 +141,20 @@ class BlockTree:
         return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Adjacency matrix of the whole graph, sink included."""
+    def adjacency(self) -> scipy.sparse.csr_matrix:
+        """Adjacency matrix of the whole graph, sink included.  scipy is
+        imported here, on first use, so that importing the package and every
+        path that never needs the sparse matrix stay free of it."""
+        import scipy.sparse
+
         n = self.num_vertices
-        return sp.csr_matrix(
+        return scipy.sparse.csr_matrix(
             (np.ones(len(self.nbr_indices), dtype=np.int64), self.nbr_indices, self.indptr),
             shape=(n, n),
         )
 
     @cached_property
-    def nonsink_adjacency(self) -> sp.csr_matrix:
+    def nonsink_adjacency(self) -> scipy.sparse.csr_matrix:
         """Adjacency matrix among the non-sink vertices (the sink is last)."""
         return self.adjacency[:-1, :-1]
 

@@ -214,6 +214,24 @@ def test_radius_pmf_table():
         radius_pmf(-1)
 
 
+# a second law with 16th-denominator rows and state 0 absorbing, not the
+# paper's: no symmetry, and state 4 is not absorbing
+OTHER_P = TransitionMatrix(
+    rows=tuple(
+        tuple(F(w, 16) for w in row)
+        for row in ((16, 0, 0, 0, 0), (3, 5, 4, 2, 2), (1, 2, 6, 4, 3), (2, 1, 3, 7, 3), (1, 1, 1, 1, 12))
+    )
+)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 9, 27, 243])
+@pytest.mark.parametrize("matrix", [None, OTHER_P], ids=["paper", "other"])
+def test_radius_pmf_table_matches_per_radius(m, matrix):
+    """The shared-vector table equals the per-radius propagation row by row;
+    at n = 1 the constraints at times k + 2 and n + 1 coincide."""
+    assert radius_pmf_table(m, matrix) == [(n, radius_pmf(n, matrix)) for n in range(m + 1)]
+
+
 def _trajectory_oracle(n):
     """Brute-force sum over complete chain trajectories of length n+2,
     applying the radius event as a plain predicate; independent of the
@@ -462,11 +480,12 @@ def test_monte_carlo_counts_independent_of_workers():
     # the blocks unevenly
     for mode, level in (("chain", 2), ("sandpile", 1)):
         trials = 5 * _BLOCK_TRIALS[mode] // 2
-        one, two, three = (
-            monte_carlo_stabilization(mode, level, trials, rng=7, workers=w).as_dict()
-            for w in (1, 2, 3)
-        )
+        runs = [monte_carlo_stabilization(mode, level, trials, rng=7, workers=w) for w in (1, 2, 3)]
+        assert [run.workers for run in runs] == [1, 2, 3], mode
+        one, two, three = (run.as_dict() for run in runs)
         assert one == two == three, mode
+    # no more workers run than there are trial blocks, and the estimate says so
+    assert monte_carlo_stabilization("sandpile", 1, 10, rng=7, workers=4).workers == 1
 
 
 def test_monte_carlo_validation():

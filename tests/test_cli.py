@@ -113,6 +113,15 @@ def test_mc_rejects_negative_workers(capsys):
     assert out == ""
 
 
+def test_mc_records_the_workers_that_ran(capsys):
+    # 10 trials are one trial block, so one worker runs
+    code, out, _ = run(
+        capsys, "mc", "--mode", "sandpile", "--level", "2", "--trials", "10", "--workers", "4"
+    )
+    assert code == 0
+    assert json.loads(out)["params"]["workers"] == 1
+
+
 def test_mc_capacity(capsys):
     code, _, err = run(
         capsys, "mc", "--mode", "sandpile", "--level", "7", "--trials", "10"

@@ -24,7 +24,7 @@ from vicsek_sandpile import (
 )
 from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV
 from vicsek_sandpile.identity import identity
-from vicsek_sandpile.sandpile import _recurrent_representative
+from vicsek_sandpile.sandpile import _chain_volume, _recurrent_representative
 
 from .oracles import cofactor_determinant, doubling_order
 
@@ -46,6 +46,19 @@ def test_reduced_laplacian_structure(g1):
     assert set(int(r) for r in L.sum(axis=1)) <= {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [("level", i) for i in range(4)] + [("chain", i) for i in range(1, 6)],
+    ids=lambda graph: f"{graph[0]}{graph[1]}",
+)
+def test_reduced_laplacian_matches_the_sparse_adjacency(graph):
+    kind, i = graph
+    g = build(i) if kind == "level" else _chain_volume(i)
+    L = reduced_laplacian(g)
+    assert L.dtype == np.int64
+    assert np.array_equal(L, np.diag(g.degrees[:-1]) - g.nonsink_adjacency.toarray())
+
+
 def test_snf_already_diagonal():
     assert smith_normal_form([[2, 0], [0, 6]]).factors == (2, 6)
     assert smith_normal_form([[6, 0], [0, 2]]).factors == (2, 6)
@@ -53,6 +66,7 @@ def test_snf_already_diagonal():
 
 def test_snf_k4(g0):
     assert smith_normal_form(reduced_laplacian(g0)).factors == (1, 4, 4)
+    assert group_structure(0).factors == (1, 4, 4)
 
 
 def test_snf_errors():

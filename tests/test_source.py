@@ -1,7 +1,14 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vicsek_sandpile
+from vicsek_sandpile import SandpileConfig, add_particles, build
+
+from .oracles import round_stabilize
 
 PACKAGE = Path(vicsek_sandpile.__file__).parent
 
@@ -14,3 +21,62 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+# Run in a fresh interpreter: every cold command path, then a read-off
+# stabilization, must leave scipy unimported; a stabilization whose result
+# is not recurrent then imports it for the rounds.
+COLD_PATHS = """
+import json, sys
+
+import vicsek_sandpile.cli
+from vicsek_sandpile import (
+    SandpileConfig, add_particles, build, group_structure, monte_carlo_stabilization,
+    radius_pmf_table, sample_recurrent, stabilize, transition_matrix,
+)
+from vicsek_sandpile.identity import identity
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+transition_matrix()
+radius_pmf_table(30)
+group_structure(1)
+identity(2)
+monte_carlo_stabilization("sandpile", 2, 100, 1)
+g = build(2)
+_, read_off = stabilize(g, add_particles(g, sample_recurrent(g, 5), (0, 0), 3))
+cold = scipy_modules()
+stable, report = stabilize(g, add_particles(g, SandpileConfig.constant(g, 2), (0, 0), 3))
+print(json.dumps({
+    "after_import": after_import,
+    "cold": cold,
+    "read_off_rounds": read_off.rounds,
+    "rounds": report.rounds,
+    "lazy": bool(scipy_modules()),
+    "heights": stable.heights.tolist(),
+    "odometer": report.odometer.tolist(),
+    "sink": report.sink_particles,
+}))
+"""
+
+
+def test_cold_paths_do_not_import_scipy():
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATHS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["after_import"] == [] and got["cold"] == []
+    assert got["read_off_rounds"] == 0
+    # all 2s plus 3 at the origin ends in a stable configuration that is not
+    # recurrent, so the rounds run, with scipy imported for them
+    assert got["rounds"] > 0 and got["lazy"]
+    g = build(2)
+    want, odometer, sink = round_stabilize(g, add_particles(g, SandpileConfig.constant(g, 2), (0, 0), 3))
+    assert got["heights"] == want.heights.tolist()
+    assert got["odometer"] == odometer.tolist()
+    assert got["sink"] == sink
