@@ -11,6 +11,7 @@ degree 6 (cutpoint shared by exactly two blocks).  The graph is built as
 that block table.  ``BlockTree`` derives adjacency and the block-tree layout
 from any such table whose last vertex is the sink, so the sandpile engine
 also runs on other trees of K4 blocks, such as the diagonal chain below.
+The layout is one walk out from the sink, and every distance is read off it.
 
 The diagonal chain D_n is the union of the 3^n complete blocks
 K^i = {(i-1,i-1), (i-1,i), (i,i-1), (i,i)}.  Vertices split into the exact
@@ -23,7 +24,6 @@ is what makes the nested-volume analysis in the other modules work.
 from __future__ import annotations
 
 import os
-from collections import deque
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -105,10 +105,10 @@ class VertexTree(NamedTuple):
 class BlockTree:
     """A tree of K4 blocks glued at cut vertices, given by its block table:
     one row of four vertex indices per block, two blocks sharing at most one
-    vertex, and the last vertex the sink.  Everything the sandpile engine
-    needs is derived from the table: degrees and adjacency as flat CSR-style
-    arrays up front; per-vertex neighbor lists, the non-sink views and the
-    blocks' layout in the block tree on first use.
+    vertex, and the last vertex the sink, a corner of one block.  Everything
+    the sandpile engine needs is derived from the table: degrees and
+    adjacency as flat CSR-style arrays up front; per-vertex neighbor lists,
+    the non-sink views and the blocks' layout in the block tree on first use.
     """
 
     def __init__(self, blocks: np.ndarray):
@@ -123,8 +123,6 @@ class BlockTree:
         self.nbr_indices = dst[np.lexsort((dst, src))]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.degrees, out=self.indptr[1:])
-
-        self._dist_to_sink: np.ndarray | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -166,11 +164,35 @@ class BlockTree:
         return out
 
     @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        """One walk out from the sink's one block.  Each step roots the blocks
+        that the last step's corners reach at those corners; their other
+        corners are the next frontier.  A cut vertex lies in two blocks, so
+        the one beyond it is the sum of their indices less the one it was
+        reached through.  Returns each block's root, each vertex's depth (its
+        distance to the sink) and the (roots, corners) per depth, sink first."""
+        blocks, is_cut = self.blocks, self.degrees > 3
+        block_sum = np.zeros(len(is_cut), dtype=np.int64)
+        np.add.at(block_sum, blocks, np.arange(len(blocks))[:, None])
+        roots = np.empty(len(blocks), dtype=np.int64)
+        depth = np.zeros_like(block_sum)
+        levels = []
+        at, through = np.array([self.sink_index]), block_sum[[self.sink_index]]
+        while len(at):
+            rows = blocks[through]
+            corners = rows[rows != at[:, None]].reshape(-1, 3)
+            roots[through] = at
+            levels.append((at, corners))
+            depth[corners] = len(levels)
+            cut = is_cut[corners]
+            at, through = corners[cut], (block_sum[corners] - through[:, None])[cut]
+        return roots, depth, levels
+
+    @cached_property
     def block_roots(self) -> np.ndarray:
         """Each block's corner nearest the sink: the cut vertex joining it to
         the rest of the block tree on the sink's side, or the sink itself."""
-        corner = self.distance_to_sink()[self.blocks].argmin(axis=1)
-        return self.blocks[np.arange(len(self.blocks)), corner]
+        return self._layout[0]
 
     @cached_property
     def block_corners(self) -> np.ndarray:
@@ -184,13 +206,7 @@ class BlockTree:
         """The blocks grouped by the depth of their root in the block tree,
         deepest first, the order in which leaves-first sweeps visit them: per
         depth, the blocks' roots and, row by row, their non-root corners."""
-        roots, corners = self.block_roots, self.block_corners
-        depth = self.distance_to_sink()[roots]
-        levels = []
-        for d in range(depth.max(), -1, -1):
-            rows = np.flatnonzero(depth == d)
-            levels.append((roots[rows], corners[rows]))
-        return tuple(levels)
+        return tuple(reversed(self._layout[2]))
 
     @cached_property
     def vertex_tree(self) -> VertexTree:
@@ -221,24 +237,27 @@ class BlockTree:
         )
 
     def distances_from(self, source: int) -> np.ndarray:
-        """BFS distance array from one vertex index (-1 for unreachable)."""
-        dist = np.full(self.num_vertices, -1, dtype=np.int64)
-        dist[source] = 0
-        queue = deque([source])
-        indptr, nbr = self.indptr, self.nbr_indices
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in nbr[indptr[u] : indptr[u + 1]]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    queue.append(w)
+        """Distances from one vertex index, read off the vertex tree.  For a
+        the deepest common ancestor of u and v, d(u, v) = depth u + depth v -
+        2 depth a, less 1 when a is neither u nor v, as a's children on the
+        two paths are corners of a's one block.  The preorder spans of u's
+        ancestors are nested, so depth a is one cumsum of a difference array."""
+        depth = self.distance_to_sink()
+        tree = self.vertex_tree
+        at = np.arange(len(tree.order))
+        # the sink takes position -1, as in vertex_tree; stop[-1] ends every span
+        p = next(iter(np.flatnonzero(tree.order == source)), -1)
+        ancestor = (at <= p) & (tree.stop > p)
+        common = np.cumsum(ancestor - np.bincount(tree.stop[ancestor], minlength=len(at) + 1)[:-1])
+        # the common ancestor is u or v when v is an ancestor of u or below it
+        on_path = ancestor | ((at >= p) & (at < tree.stop[p]))
+        dist = np.empty_like(depth)
+        dist[tree.order] = depth[source] + depth[tree.order] - 2 * common - 1 + on_path
+        dist[self.sink_index] = depth[source]
         return dist
 
     def distance_to_sink(self) -> np.ndarray:
-        if self._dist_to_sink is None:
-            self._dist_to_sink = self.distances_from(self.sink_index)
-        return self._dist_to_sink
+        return self._layout[1]
 
 
 class VicsekGraph(BlockTree):
@@ -324,25 +343,12 @@ def branch_component(g: VicsekGraph, x: Coord) -> set[Coord]:
     """Subtree hanging off a 1-offset vertex, away from the diagonal chain.
 
     Returns the vertex set of the connected component of g minus {x}
-    containing no chain vertex; empty when every neighbor of x lies on the
-    chain.
+    containing no chain vertex, empty when every neighbor of x lies on the
+    chain.  The chain holds the sink, so this is what hangs from x.
     """
-    xi = g.vertex_index(x)
     if classify(g, x) is not DiagonalClass.OFFSET_D1:
         raise ValueError(f"{x} is not a 1-offset diagonal vertex")
-    off_chain = [
-        w for w in g.neighbors[xi] if abs(g.vertices[w][0] - g.vertices[w][1]) > 1
-    ]
-    seen: set[int] = set()
-    queue = deque(off_chain)
-    seen.update(off_chain)
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors[u]:
-            if w != xi and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    component = {g.vertices[w] for w in seen}
+    component = descendants(g, x)
     if any(abs(a - b) <= 1 for a, b in component):
         raise RuntimeError(f"the branch at {x} reaches the diagonal chain")
     return component

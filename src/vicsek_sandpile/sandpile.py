@@ -163,15 +163,10 @@ class AvalancheReport:
         idx = self.toppled_indices
         if len(idx) == 0:
             return -1
-        if len(idx) == 1:
-            return 0
-        # imported here, and ``adjacency`` imports scipy.sparse on first use,
-        # so a first call with no rounds before it pays the whole scipy.sparse
-        # import: about 0.2 s at level 2 (one core, median of 7 cold calls)
-        from scipy.sparse.csgraph import shortest_path
-
-        dist = shortest_path(self.graph.adjacency, unweighted=True, indices=idx)
-        return int(dist[:, idx].max())
+        # a double sweep is exact, as block graphs are 0-hyperbolic (Howorka,
+        # 1979): the member farthest from any member ends a diameter
+        far = idx[self.graph.distances_from(idx[0])[idx].argmax()]
+        return int(self.graph.distances_from(far)[idx].max())
 
     def __repr__(self) -> str:
         return (

@@ -50,6 +50,26 @@ def five_copy_union(level: int) -> tuple[set, set]:
     return verts, {tuple(e) for e in edges}
 
 
+def _bfs(neighbors: list[list[int]], source: int) -> list[int]:
+    dist = [-1] * len(neighbors)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in neighbors[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def hanging_from(neighbors: list[list[int]], sink: int, v: int) -> set[int]:
+    """The vertices that v separates from the sink: those a breadth-first
+    search from the sink cannot reach without passing through v."""
+    blocked = [[] if u == v else ws for u, ws in enumerate(neighbors)]
+    return {u for u, d in enumerate(_bfs(blocked, sink)) if d < 0}
+
+
 def random_order_stabilize(g: VicsekGraph, c: SandpileConfig, rng: np.random.Generator):
     """Stabilize by repeatedly toppling one uniformly chosen unstable vertex.
 
@@ -202,14 +222,14 @@ def nested_volume_counts(g: VicsekGraph, c: SandpileConfig, m: int) -> list[int]
     volumes made of everything whose geodesic to the global sink passes
     through (i, i), with (i, i) acting as the sink.  Works for arbitrary
     configurations supported anywhere in the volume (branches included)."""
-    dist_sink = g.distance_to_sink()
+    dist_sink = _bfs(g.neighbors, g.sink_index)
     heights = {v: int(c.heights[i]) for i, v in enumerate(g.vertices[:-1])}
     counts = []
     prev_volume: set = set()
     for i in range(1, m + 1):
         target = (i, i)
         ti = g.vertex_index(target)
-        dist_t = g.distances_from(ti)
+        dist_t = _bfs(g.neighbors, ti)
         volume = {
             g.vertices[v]
             for v in range(g.num_vertices)
@@ -323,19 +343,6 @@ def cofactor_determinant(mat) -> int:
 # touches the package's chain algebra (transition matrix, trajectory events,
 # kappa, radius formula).
 # ---------------------------------------------------------------------------
-
-
-def _bfs(neighbors: list[list[int]], source: int) -> list[int]:
-    dist = [-1] * len(neighbors)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def k4_topple(heights, added: int) -> tuple[frozenset[int], int]:
@@ -473,16 +480,7 @@ def burning_radius_masses(max_radius: int) -> dict[int, Fraction]:
 
     def behind(v: int) -> set[int]:
         """v and every vertex that v separates from the sink."""
-        reached = [False] * g.num_vertices
-        reached[v] = reached[g.sink_index] = True
-        queue = deque([g.sink_index])
-        while queue:
-            u = queue.popleft()
-            for w in nbrs[u]:
-                if not reached[w]:
-                    reached[w] = True
-                    queue.append(w)
-        return {u for u, r in enumerate(reached) if not r} | {v}
+        return hanging_from(nbrs, g.sink_index, v) | {v}
 
     def diameter(members: set[int]) -> int:
         for u in members:

@@ -17,8 +17,9 @@ from vicsek_sandpile import (
     kappa,
 )
 from vicsek_sandpile.fractal_graph import BlockTree, descendants, ternary_digits
+from vicsek_sandpile.sandpile import _chain_volume
 
-from .oracles import five_copy_union, nx_graph
+from .oracles import _bfs, five_copy_union, hanging_from, nx_graph
 
 
 @pytest.mark.parametrize("level", range(6))
@@ -77,7 +78,7 @@ def test_block_roots(level):
     # three corners of all blocks, in block order, partition the non-sink
     # vertices
     g = build(level)
-    dist = g.distance_to_sink()
+    dist = _bfs(g.neighbors, g.sink_index)
     rows = zip(g.blocks.tolist(), g.block_roots.tolist(), g.block_corners.tolist())
     for block, root, corners in rows:
         assert root in block
@@ -112,7 +113,7 @@ def test_vertex_tree_preorder(level):
     subtree = np.empty(n, dtype=np.int64)
     subtree[tree.order] = prefix[tree.stop] - prefix[:-1]
     for c in range(n):
-        below = [g.vertex_index(v) for v in descendants(g, g.vertices[c])]
+        below = list(hanging_from(g.neighbors, g.sink_index, c))
         assert subtree[c] == h[c] + h[below].sum()
     span = np.empty(n, dtype=np.int64)
     span[tree.order] = prefix[tree.block_stop] - prefix[tree.block_start]
@@ -230,7 +231,7 @@ def test_branch_single_cutpoint_property(g2):
 
 
 def test_geodesic_unique_and_monotone(g2):
-    dist = g2.distance_to_sink()
+    dist = _bfs(g2.neighbors, g2.sink_index)
     for v in g2.vertices:
         if v == g2.sink:
             continue
@@ -265,14 +266,15 @@ def _k4_blocks(g):
 @pytest.mark.parametrize("x", [(7, 2), (4, 5), (1, 1), (0, 0), (5, 4), (8, 9)])
 def test_geodesic_subgraph_is_block_chain(g2, x):
     # independent construction: union of the K4 blocks meeting the geodesic,
-    # minus the descendants of x
+    # minus the vertices that x separates from the sink
     got = geodesic_subgraph(g2, x)
     path = set(geodesic_to_sink(g2, x))
     expected = set()
     for block in _k4_blocks(g2):
         if block & path:
             expected |= block
-    expected -= descendants(g2, x)
+    below = hanging_from(g2.neighbors, g2.sink_index, g2.vertex_index(x))
+    expected -= {g2.vertices[v] for v in below}
     assert got == expected
 
 
@@ -307,6 +309,36 @@ def test_graph_distance_matches_networkx(g2, rng):
         v = verts[rng.integers(0, len(verts))]
         w = verts[rng.integers(0, len(verts))]
         assert graph_distance(g2, v, w) == nx.shortest_path_length(G, v, w)
+
+
+def test_graph_distance_to_and_from_the_sink(g2):
+    # the sink is (9, 9); the distances are networkx's
+    cases = {(0, 0): 9, (0, 9): 9, (9, 0): 9, (0, 3): 9, (7, 2): 7, (3, 6): 6, (8, 9): 1}
+    for v, d in cases.items():
+        assert graph_distance(g2, v, g2.sink) == d
+        assert graph_distance(g2, g2.sink, v) == d
+    assert graph_distance(g2, g2.sink, g2.sink) == 0
+
+
+@pytest.mark.parametrize(
+    "kind, i", [("level", n) for n in range(5)] + [("chain", n) for n in (1, 2, 7, 30)]
+)
+def test_distances_from_match_bfs(kind, i):
+    """The distances read off the vertex tree equal breadth-first search from
+    every source, the sink included, on the Vicsek graphs and on nested
+    volumes of the diagonal chain; the distances to the sink are the depths."""
+    g = build(i) if kind == "level" else _chain_volume(i)
+    for s in range(g.num_vertices):
+        assert g.distances_from(s).tolist() == _bfs(g.neighbors, s), s
+    assert g.distance_to_sink().tolist() == _bfs(g.neighbors, g.sink_index)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_descendants_are_what_x_separates_from_the_sink(level):
+    g = build(level)
+    for x in range(g.num_vertices):
+        want = {g.vertices[v] for v in hanging_from(g.neighbors, g.sink_index, x)}
+        assert descendants(g, g.vertices[x]) == want
 
 
 def test_kappa_examples():

@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vicsek_sandpile import (
+    AvalancheReport,
     SandpileConfig,
     add_particles,
     assemble_diagonal,
@@ -31,6 +34,7 @@ from vicsek_sandpile.sandpile import (
 )
 
 from .oracles import (
+    _bfs,
     burns,
     chain_queue_flow,
     exact_least_action_stabilize,
@@ -76,6 +80,31 @@ def test_stabilize_k4_example(g0):
     assert rep.sink_particles == 3
     assert rep.toppled_set == {(0, 0), (0, 1), (1, 0)}
     assert rep.diameter == 1
+
+
+@lru_cache(maxsize=None)
+def _all_pairs(kind: str, i: int):
+    g = build(i) if kind == "level" else _chain_volume(i)
+    return g, np.array([_bfs(g.neighbors, s) for s in range(g.num_vertices)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([("level", n) for n in range(4)] + [("chain", n) for n in (1, 2, 7, 30)]),
+    st.data(),
+)
+def test_diameter_matches_all_pairs_bfs(graph, data):
+    """The double-sweep diameter of a toppled set with 0, 1, 2 or many
+    members is the largest breadth-first distance between two members."""
+    g, dist = _all_pairs(*graph)
+    n = g.num_vertices - 1
+    count = data.draw(st.sampled_from([0, 1, 2]) | st.integers(3, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    members = rng.choice(n, size=count, replace=False)
+    odometer = np.zeros(n, dtype=np.int64)
+    odometer[members] = rng.integers(1, 5, size=count)
+    want = int(dist[np.ix_(members, members)].max()) if count else -1
+    assert AvalancheReport(g, odometer, 0).diameter == want
 
 
 def test_stabilize_idempotent_on_stable(g1, rng):

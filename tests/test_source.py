@@ -13,6 +13,31 @@ from .oracles import round_stabilize
 PACKAGE = Path(vicsek_sandpile.__file__).parent
 
 
+def _unused_imports(text: str, filename: str) -> list[str]:
+    """Names a module imports but never reads, skipping `__future__` imports
+    and import lines marked `# noqa: F401`."""
+    tree = ast.parse(text, filename=filename)
+    lines = text.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_library_has_no_unused_imports():
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    for path in modules:
+        unused = _unused_imports(path.read_text(encoding="utf-8"), str(path))
+        assert not unused, f"{path.name} imports but never uses {unused}"
+
+
 def test_library_has_no_assert_statements():
     # `python -O` strips asserts, so invariants that guard results must raise
     modules = sorted(PACKAGE.glob("*.py"))
@@ -31,9 +56,11 @@ import json, sys
 
 import vicsek_sandpile.cli
 from vicsek_sandpile import (
-    SandpileConfig, add_particles, build, group_structure, monte_carlo_stabilization,
-    radius_pmf_table, sample_recurrent, stabilize, transition_matrix,
+    SandpileConfig, add_particles, branch_component, build, geodesic_subgraph, graph_distance,
+    group_structure, monte_carlo_stabilization, radius_pmf_table, sample_recurrent, stabilize,
+    transition_matrix,
 )
+from vicsek_sandpile.fractal_graph import descendants
 from vicsek_sandpile.identity import identity
 
 def scipy_modules():
@@ -47,12 +74,15 @@ identity(2)
 monte_carlo_stabilization("sandpile", 2, 100, 1)
 g = build(2)
 _, read_off = stabilize(g, add_particles(g, sample_recurrent(g, 5), (0, 0), 3))
+metric = [read_off.diameter, graph_distance(g, (0, 3), (9, 9)), len(descendants(g, (3, 3))),
+          len(branch_component(g, (4, 5))), len(geodesic_subgraph(g, (7, 2)))]
 cold = scipy_modules()
 stable, report = stabilize(g, add_particles(g, SandpileConfig.constant(g, 2), (0, 0), 3))
 print(json.dumps({
     "after_import": after_import,
     "cold": cold,
     "read_off_rounds": read_off.rounds,
+    "metric": metric,
     "rounds": report.rounds,
     "lazy": bool(scipy_modules()),
     "heights": stable.heights.tolist(),
@@ -72,6 +102,7 @@ def test_cold_paths_do_not_import_scipy():
     got = json.loads(proc.stdout)
     assert got["after_import"] == [] and got["cold"] == []
     assert got["read_off_rounds"] == 0
+    assert got["metric"][1:] == [9, 15, 18, 22]
     # all 2s plus 3 at the origin ends in a stable configuration that is not
     # recurrent, so the rounds run, with scipy imported for them
     assert got["rounds"] > 0 and got["lazy"]
