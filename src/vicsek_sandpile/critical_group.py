@@ -38,7 +38,14 @@ import numpy as np
 
 from .fractal_graph import BlockTree, Coord, VicsekGraph, build
 from .recurrence import _as_generator, is_recurrent, sample_recurrent
-from .sandpile import SandpileConfig, _check_config, _k4_class, add_particles, stabilize
+from .sandpile import (
+    _STACK_HEIGHTS,
+    SandpileConfig,
+    _check_config,
+    _k4_class,
+    add_particles,
+    stabilize_many,
+)
 
 _INT64_GUARD = 2**60
 
@@ -220,7 +227,8 @@ def sink_hit_probability(
     record how often stabilization delivers at least one particle to the
     sink.  With k = 4 this happens every time, because four particles at any
     vertex act as the group identity and their stabilization sweeps the whole
-    graph."""
+    graph.  The samples are stabilized together, in stacks of a bounded
+    number of heights."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if x == g.sink:
@@ -229,11 +237,11 @@ def sink_hit_probability(
         raise ValueError("need at least one sample")
     rng = _as_generator(rng)
     hits = 0
-    for _ in range(samples):
-        eta = sample_recurrent(g, rng)
-        _, report = stabilize(g, add_particles(g, eta, x, k))
-        if report.sink_particles >= 1:
-            hits += 1
+    per_stack = max(1, _STACK_HEIGHTS // (g.num_vertices - 1))
+    for start in range(0, samples, per_stack):
+        draws = range(min(per_stack, samples - start))
+        rows = [add_particles(g, sample_recurrent(g, rng), x, k) for _ in draws]
+        hits += sum(report.sink_particles >= 1 for _, report in stabilize_many(g, rows))
     p = hits / samples
     stderr = float(np.sqrt(max(p * (1 - p), 1e-300) / samples))
     return SinkHitEstimate(

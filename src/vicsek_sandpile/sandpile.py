@@ -11,7 +11,9 @@ counts (the odometer) do not depend on the order.
 The engine takes any tree of K4 blocks glued at cut vertices whose last
 vertex is the sink (``fractal_graph.BlockTree``): a Vicsek graph, or one of
 the diagonal chain's nested volumes, which ``boundary_flow`` stabilizes one
-after another.  ``stabilize`` is the only toppling loop in the package.
+after another.  ``stabilize_many`` is the only toppling loop in the package:
+it takes a stack of height rows, and ``stabilize`` is that engine with one
+row.
 
 The stabilizer reads the result off the block tree first.  The sandpile
 group is the direct sum of the K4 blocks' groups, so a leaves-first sweep
@@ -55,6 +57,10 @@ import numpy as np
 from .fractal_graph import BlockTree, Coord, VicsekGraph
 
 _OVERFLOW_LIMIT = np.int64(2) ** 40
+# The sample loops hand stabilize_many at most this many heights per call:
+# enough rows to share each numpy step at small levels, while the engine's
+# arrays stay a few megabytes each at the largest, whatever the sample count.
+_STACK_HEIGHTS = 2**18
 
 # The 16 recurrent configurations of K4 with one corner as the sink, as
 # triples in product order.  A stable triple is recurrent exactly when no
@@ -133,9 +139,9 @@ class SandpileConfig:
 
 class AvalancheReport:
     """Accounting for one stabilization: odometer, toppled set, diameter,
-    the number of particles delivered to the sink, and the number of toppling
-    rounds the engine ran after its one-step fire (0 when the result was
-    read off the block tree).
+    the number of particles delivered to the sink, the number of toppling
+    rounds the engine ran after its one-step fire, and whether the result
+    was read off the block tree (then with 0 rounds).
 
     The diameter (largest pairwise graph distance over the toppled set) is
     computed on first access: -1 for an empty toppled set, 0 for a single
@@ -143,12 +149,14 @@ class AvalancheReport:
     """
 
     def __init__(
-        self, graph: BlockTree, odometer: np.ndarray, sink_particles: int, rounds: int = 0
+        self, graph: BlockTree, odometer: np.ndarray, sink_particles: int, rounds: int = 0,
+        read_off: bool = False,
     ):
         self.graph = graph
         self.odometer = odometer
         self.sink_particles = int(sink_particles)
         self.rounds = rounds
+        self.read_off = read_off
 
     @cached_property
     def toppled_indices(self) -> np.ndarray:
@@ -222,8 +230,9 @@ def is_legal_topple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> bool:
 
 
 def _laplacian(g: BlockTree, u: np.ndarray) -> np.ndarray:
-    """Reduced Laplacian times u: what firing u takes from each height."""
-    return g.degrees[:-1] * u - g.nonsink_adjacency.dot(u)
+    """Reduced Laplacian times u (or each row of a stack of u): what firing
+    u takes from each height."""
+    return g.degrees[:-1] * u - (g.nonsink_adjacency @ u.T).T
 
 
 def _solve_times_four(g: BlockTree, b: np.ndarray) -> np.ndarray:
@@ -247,16 +256,21 @@ def _solve_times_four(g: BlockTree, b: np.ndarray) -> np.ndarray:
     along the paths are the prefix sums of a difference array that adds w_a
     where a's subtree starts and takes it off where the subtree stops.
     Every partial sum is a partial sum of b or a 4z, within the bound.
+    A stack of b, one per row, is solved together, vertex by vertex down
+    the first axis of its transpose.
     """
     tree = g.vertex_tree
-    prefix = np.zeros(len(b) + 1, dtype=np.int64)
-    np.cumsum(b[tree.order], out=prefix[1:])
-    w = prefix[tree.stop] - prefix[:-1] + prefix[tree.block_stop] - prefix[tree.block_start]
-    steps = np.append(w, 0)
+    b = b.T
+    prefix = np.zeros((len(b) + 1,) + b.shape[1:], dtype=np.int64)
+    np.cumsum(b[tree.order], axis=0, out=prefix[1:])
+    w = prefix[tree.stop] - prefix[:-1]
+    w += prefix[tree.block_stop] - prefix[tree.block_start]
+    steps = np.zeros_like(prefix)
+    steps[:-1] = w
     np.subtract.at(steps, tree.stop, w)
     z4 = np.empty_like(w)
-    z4[tree.order] = np.cumsum(steps[:-1])
-    return z4
+    z4[tree.order] = np.cumsum(steps[:-1], axis=0)
+    return z4.T
 
 
 def _odometer_lower_bound(g: BlockTree, heights: np.ndarray) -> np.ndarray:
@@ -296,23 +310,41 @@ def _recurrent_representative(g: BlockTree, heights: np.ndarray) -> np.ndarray:
     root carries in a recurrent configuration; it is replaced by the
     recurrent triple of its class.  The result is a recurrent K4 triple on
     every block plus 3 at every non-sink root, which is recurrent (see
-    ``recurrence``).
+    ``recurrence``).  A stack of height rows is swept as one forest: row i
+    is a copy of the tree on slots i(n + 1) to i(n + 1) + n, its sink last.
     """
     glue = _glue(g)
-    local = np.append(heights - glue, 0)
+    n = len(glue)
+    local = np.zeros((heights.size // n, n + 1), dtype=np.int64)
+    local[:, :-1] = heights.reshape(-1, n) - glue
+    shift = (n + 1) * np.arange(len(local))[:, None]
+    forest = len(local) != 1  # one row is the tree itself
+    local = local.ravel()
     for roots, corners in g.block_levels:
+        if forest:
+            roots, corners = roots + shift, (corners.ravel() + shift).reshape(-1, 3)
         q = local[corners]
         t = _K4_BY_CLASS[_k4_class(q)]
-        local[roots] += (q - t).sum(axis=1)
+        local[roots.ravel()] += (q - t).sum(axis=1)
         local[corners] = t
-    return local[:-1] + glue
+    return (local.reshape(-1, n + 1)[:, :-1] + glue).reshape(heights.shape)
 
 
 def stabilize(g: BlockTree, c: SandpileConfig) -> tuple[SandpileConfig, AvalancheReport]:
     """Perform legal topplings until stable; returns the stable configuration
-    and the avalanche report.  Terminates on any finite graph with a sink.
+    and the avalanche report.  ``stabilize_many`` with one row."""
+    return stabilize_many(g, [c])[0]
 
-    A stable input is its own result, with a zero odometer.  Otherwise the
+
+def stabilize_many(
+    g: BlockTree, configs: list[SandpileConfig]
+) -> list[tuple[SandpileConfig, AvalancheReport]]:
+    """Stabilize each configuration of a stack, as ``stabilize`` does one:
+    the stable configuration and the avalanche report per row, in order.
+    Rows never interact; the stack shares the numpy steps of the read-off
+    and of the rounds.  Terminates on any finite graph with a sink.
+
+    A stable row is its own result, with a zero odometer.  Otherwise the
     heights h are first compared with their recurrent representative r:
     u = L^-1 (h - r) is an integer vector, and if u >= 0 then r is the stable
     result and u the odometer.  Proof: r = h - L u is stable, so by the least
@@ -324,11 +356,12 @@ def stabilize(g: BlockTree, c: SandpileConfig) -> tuple[SandpileConfig, Avalanch
     subconfiguration (Dhar) of the recurrent r.  Hence o = u and s = r.
     Conversely a recurrent result equals r, the one recurrent configuration
     of its class, and then o = u >= 0; so this path is taken exactly when
-    the result is recurrent.  The particles it sends to the sink,
-    sum(h) - sum(r), are a count, so the solve is skipped when
-    sum(h) < sum(r).  It needs heights of at least -2^40: with a positive
-    mass of at most 2^40 and sum(h - r) >= 0, sum(|h - r|) <= 2 * 2^40, so
-    |4u| <= depth * 2^42 fits in int64 (see _solve_times_four).
+    the result is recurrent, and the row's report has ``read_off`` set.  The
+    particles it sends to the sink, sum(h) - sum(r), are a count, so the
+    solve is skipped when sum(h) < sum(r).  It needs heights of at least
+    -2^40: with a positive mass of at most 2^40 and sum(h - r) >= 0,
+    sum(|h - r|) <= 2 * 2^40, so |4u| <= depth * 2^42 fits in int64 (see
+    _solve_times_four).
 
     Otherwise, when the total exceeds that of the maximal stable
     configuration, the engine fires a lower bound u0 on the odometer o in
@@ -338,43 +371,58 @@ def stabilize(g: BlockTree, c: SandpileConfig) -> tuple[SandpileConfig, Avalanch
     odometer o' of h - L u0 is at most o - u0, because firing o - u0 from
     there reaches the stable h - L o, and u0 + o' is at least o, because
     h - L (u0 + o') is stable.  Below that total the avalanche need not
-    reach the sink, and the rounds start from nothing.
+    reach the sink, and the rounds start from nothing.  The rows left to
+    the rounds run them together; a row's rounds are the ones in which it
+    fired.
     """
-    _check_config(g, c)
+    for c in configs:
+        _check_config(g, c)
     deg = g.degrees[:-1]
-    heights = c.heights.copy()
+    heights = np.array([c.heights for c in configs], dtype=np.int64).reshape(-1, len(deg))
     # total mass is conserved, so no height can ever exceed the initial sum
-    if heights[heights > 0].sum() > _OVERFLOW_LIMIT:
+    if (np.maximum(heights, 0).sum(axis=1) > _OVERFLOW_LIMIT).any():
         raise OverflowError("sandpile mass exceeds the engine limit")
-    mass = heights.sum()
+    mass = heights.sum(axis=1)
     odometer = np.zeros_like(heights)
-    read_off = False
-    if heights.min() >= -_OVERFLOW_LIMIT and np.any(heights >= deg):
-        recurrent = _recurrent_representative(g, heights)
-        if mass >= recurrent.sum():
-            u4 = _solve_times_four(g, heights - recurrent)
-            if np.any(u4 & 3):
-                raise RuntimeError("the recurrent representative is not equivalent to the heights")
-            read_off = u4.min() >= 0
-            if read_off:
-                heights, odometer = recurrent, u4 >> 2
-        if not read_off and mass > deg.sum() - len(deg):
-            odometer = _odometer_lower_bound(g, heights)
-            heights -= _laplacian(g, odometer)
-    rounds = 0
-    while not read_off:
-        fire = heights // deg
-        np.maximum(fire, 0, out=fire)
-        if not fire.any():
-            break
-        heights -= fire * deg
-        heights += g.nonsink_adjacency.dot(fire)
-        odometer += fire
-        rounds += 1
-    sink_particles = int(g.sink_degrees @ odometer)
-    if mass != heights.sum() + sink_particles:
+    rounds = np.zeros(len(heights), dtype=np.int64)
+    read_off = np.zeros(len(heights), dtype=bool)
+    rows = (heights >= deg).any(axis=1).nonzero()[0]
+    solve = rows[heights[rows].min(axis=1) >= -_OVERFLOW_LIMIT]
+    if len(solve):
+        recurrent = _recurrent_representative(g, heights[solve])
+        keep = mass[solve] >= recurrent.sum(axis=1)
+        solve, recurrent = solve[keep], recurrent[keep]
+        u4 = _solve_times_four(g, heights[solve] - recurrent)
+        if (u4 & 3).any():
+            raise RuntimeError("the recurrent representative is not equivalent to the heights")
+        keep = u4.min(axis=1) >= 0
+        solve = solve[keep]
+        heights[solve], odometer[solve], read_off[solve] = recurrent[keep], u4[keep] >> 2, True
+        rows = rows[~read_off[rows]]
+    if len(rows):
+        head = rows[mass[rows] > deg.sum() - len(deg)]
+        if len(head):
+            odometer[head] = _odometer_lower_bound(g, heights[head])
+            heights[head] -= _laplacian(g, odometer[head])
+        live, fired, count = heights[rows], odometer[rows], rounds[rows]
+        while True:
+            fire = live // deg
+            np.maximum(fire, 0, out=fire)
+            firing = fire.any(axis=1)
+            if not firing.any():
+                break
+            live -= fire * deg
+            live += (g.nonsink_adjacency @ fire.T).T
+            fired += fire
+            count += firing
+        heights[rows], odometer[rows], rounds[rows] = live, fired, count
+    sink_particles = odometer @ g.sink_degrees
+    if (mass != heights.sum(axis=1) + sink_particles).any():
         raise RuntimeError("stabilization lost mass: what left the heights missed the sink")
-    return SandpileConfig(heights), AvalancheReport(g, odometer, sink_particles, rounds)
+    return [
+        (SandpileConfig(h), AvalancheReport(g, o, s, int(r), bool(t)))
+        for h, o, s, r, t in zip(heights, odometer, sink_particles, rounds, read_off)
+    ]
 
 
 def add_particles(g: VicsekGraph, c: SandpileConfig, v: Coord, k: int) -> SandpileConfig:

@@ -22,6 +22,7 @@ from vicsek_sandpile import (
     sink_hit_probability,
     smith_normal_form,
 )
+import vicsek_sandpile.critical_group as critical_group
 from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV
 from vicsek_sandpile.identity import identity
 from vicsek_sandpile.sandpile import _chain_volume, _recurrent_representative
@@ -235,6 +236,20 @@ def test_sink_hit_matches_exact_chain(g1, rng):
     exact = 1 - k_step_distribution(1, 3)[0]
     est = sink_hit_probability(g1, (0, 0), 1, samples=1500, rng=rng)
     assert abs(est.estimate - float(exact)) < 3 * est.stderr + 1e-9
+
+
+@pytest.mark.parametrize(
+    "x, k, seed, hits",
+    [((1, 0), 1, 11, 23), ((4, 5), 2, 12, 33), ((9, 10), 3, 13, 53), ((0, 1), 1, 14, 16)],
+)
+@pytest.mark.parametrize("stack_heights", [None, 7000])
+def test_sink_hit_same_seed_same_hits(x, k, seed, hits, stack_heights, monkeypatch):
+    """Same seed, same sample path: hit counts recorded when the samples
+    were still stabilized one at a time, with the default stacks and with
+    stacks of 18 level-3 rows, the last one short."""
+    if stack_heights:
+        monkeypatch.setattr(critical_group, "_STACK_HEIGHTS", stack_heights)
+    assert sink_hit_probability(build(3), x, k, samples=64, rng=seed).hits == hits
 
 
 def test_sink_hit_validation(g1, rng):

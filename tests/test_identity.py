@@ -1,8 +1,10 @@
+import importlib
 from collections import Counter
 
 import pytest
 
 from vicsek_sandpile import (
+    CapacityError,
     SandpileConfig,
     VerificationError,
     build,
@@ -10,11 +12,16 @@ from vicsek_sandpile import (
     merge,
     sample_recurrent,
     stabilize,
+    stabilize_many,
     verify_identity,
 )
+from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV
 from vicsek_sandpile.identity import MergeSpec, identity
 
 from .oracles import merge_identity
+
+# the package's `identity` attribute is the function, so fetch the module
+identity_module = importlib.import_module("vicsek_sandpile.identity")
 
 
 def all_two(level):
@@ -169,3 +176,51 @@ def test_verify_identity_report_on_failure(g1, rng):
     with pytest.raises(VerificationError) as err:
         verify_identity(g1, fake, samples=2, rng=rng)
     assert "a_recurrent" in str(err.value)
+
+
+def test_identity_is_cached_and_returned_fresh(monkeypatch):
+    want = identity(2).as_tuple()
+    returned = identity(2)
+    returned.heights[:] = 0
+    assert identity(2).as_tuple() == want
+    hits = identity_module._identity_heights.cache_info().hits
+    identity(2)
+    assert identity_module._identity_heights.cache_info().hits == hits + 1
+    monkeypatch.delenv(LEVEL_CAP_ENV, raising=False)
+    with pytest.raises(CapacityError):
+        identity(7)
+
+
+def test_verify_identity_stack_is_read_off(g2, monkeypatch):
+    """For the true identity every row of the stack, 2e, e + eta_i and
+    4 eta_i, is read off the block tree with no rounds."""
+    stacks = []
+
+    def spy(g, configs):
+        out = stabilize_many(g, configs)
+        stacks.append(out)
+        return out
+
+    monkeypatch.setattr(identity_module, "stabilize_many", spy)
+    verify_identity(g2, identity(2), samples=5, rng=1)
+    [stack] = stacks
+    assert len(stack) == 11
+    assert all(rep.read_off and rep.rounds == 0 for _, rep in stack)
+
+
+@pytest.mark.parametrize("stack_heights", [None, 300])
+def test_verify_identity_same_seed_same_report(g2, monkeypatch, stack_heights):
+    """Same seed, same outcome: values recorded when the samples were still
+    stabilized one at a time, with the default stacks and with stacks of
+    four or five level-2 rows, the last one short."""
+    if stack_heights:
+        monkeypatch.setattr(identity_module, "_STACK_HEIGHTS", stack_heights)
+    report = verify_identity(g2, identity(2), 5, rng=1)
+    assert all(report.clauses.values()) and len(report.clauses) == 5
+    assert report.sink_particles_mod4 == 2
+    assert report.height_histogram == {2: 51, 4: 4, 5: 20}
+    for h in (2, 1):
+        with pytest.raises(VerificationError) as err:
+            verify_identity(g2, SandpileConfig.constant(g2, h), 5, rng=1)
+        named = "clauses ['a_recurrent', 'b_idempotent', 'c_neutral', 'd_fourfold_collapse']"
+        assert named in str(err.value)

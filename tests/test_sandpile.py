@@ -20,6 +20,7 @@ from vicsek_sandpile import (
     sample_ivl_diagonal,
     sample_recurrent,
     stabilize,
+    stabilize_many,
     topple,
     untopple,
 )
@@ -250,12 +251,101 @@ def test_stabilize_matches_oracles(case, seed):
         assert rep.rounds > 0
 
 
+STACK_ROWS = ["stable", "particles", "low", "head start", "multiple"]
+
+
+def stack_row(g, kind, rng):
+    """One height row of the given kind: a stable row, a recurrent
+    configuration plus 1 to 8 particles, a few particles on an empty
+    graph (low mass, not recurrent), the maximal stable configuration with
+    a random third of it emptied and more than that mass put back on one
+    vertex (above the maximal stable total, so the head start runs), or
+    k*eta for k <= 8."""
+    n = g.num_vertices - 1
+    deg = g.degrees[:-1]
+    if kind == "stable":
+        return rng.integers(0, deg)
+    if kind == "particles":
+        heights = sample_recurrent(g, rng).heights
+        np.add.at(heights, rng.integers(0, n, size=rng.integers(1, 9)), 1)
+        return heights
+    if kind == "low":
+        heights = np.zeros(n, dtype=np.int64)
+        np.add.at(heights, rng.integers(0, n, size=rng.integers(1, 2 * n)), 1)
+        return heights
+    if kind == "head start":
+        heights = deg - 1
+        hole = rng.choice(n, size=max(1, n // 3), replace=False)
+        removed = heights[hole].sum()
+        heights[hole] = 0
+        heights[rng.integers(n)] += removed + rng.integers(1, 11)
+        return heights
+    return sample_recurrent(g, rng).heights * rng.integers(1, 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["0", "1", "2", "3", "chain 1", "chain 2", "chain 5", "chain 9"]),
+    st.lists(st.sampled_from(STACK_ROWS), max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_stabilize_many_matches_rows(graph, kinds, seed):
+    """A stack against the plain rounds row by row: stable heights,
+    odometer and sink particles, and each row's rounds are those of the row
+    stabilized alone.  A row is read off exactly when it was unstable and
+    its result is recurrent, and then runs no rounds."""
+    g = _chain_volume(int(graph.split()[1])) if graph.startswith("chain") else build(int(graph))
+    rng = np.random.default_rng(seed)
+    stack = [SandpileConfig(stack_row(g, kind, rng)) for kind in kinds]
+    results = stabilize_many(g, stack)
+    assert len(results) == len(stack)
+    for c, (out, rep) in zip(stack, results):
+        ref_out, ref_odometer, ref_sink = round_stabilize(g, c)
+        assert out == ref_out
+        assert np.array_equal(rep.odometer, ref_odometer)
+        assert rep.sink_particles == ref_sink
+        assert rep.rounds == stabilize(g, c)[1].rounds
+        assert rep.read_off == (burns(g, out) and not is_stable(g, c))
+        assert not (rep.read_off and rep.rounds)
+
+
+def test_stabilize_many_read_off_row_by_row(g2, rng):
+    """Recurrent-plus-particles rows are read off; low-mass rows, whose
+    results are not recurrent, run rounds, each as many as alone, and a
+    stable row does neither."""
+    n = g2.num_vertices - 1
+    low = [SandpileConfig.zeros(g2), SandpileConfig.zeros(g2)]
+    low[0].heights[[0, 5]] = [7, 3]
+    low[1].heights[n // 2] = 9
+    plus = [add_particles(g2, sample_recurrent(g2, rng), v, 3) for v in [(0, 0), (4, 5)]]
+    stable = SandpileConfig(rng.integers(0, 2, size=n))
+    stack = [plus[0], low[0], stable, plus[1], low[1]]
+    reports = [rep for _, rep in stabilize_many(g2, stack)]
+    assert [rep.read_off for rep in reports] == [True, False, False, True, False]
+    assert [rep.rounds > 0 for rep in reports] == [False, True, False, False, True]
+    assert reports[1].rounds != reports[4].rounds
+    assert [rep.rounds for rep in reports] == [stabilize(g2, c)[1].rounds for c in stack]
+
+
+def test_stabilize_many_edge_cases(g1):
+    assert stabilize_many(g1, []) == []
+    n = g1.num_vertices - 1
+    good = SandpileConfig.constant(g1, 3)
+    with pytest.raises(ValueError):
+        stabilize_many(g1, [good, SandpileConfig([3] * (n - 1))])
+    pile = SandpileConfig.zeros(g1)
+    pile.heights[0] = 2**40 + 1
+    with pytest.raises(OverflowError):
+        stabilize_many(g1, [good, pile, good])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 2**32 - 1))
 def test_recurrent_representative(level, seed):
     """The block-tree sweep returns a recurrent configuration equivalent to
     the heights (4 L^-1 (h - r) is divisible by 4), and leaves recurrent
-    configurations, such as the sampler's, as they are."""
+    configurations, such as the sampler's, as they are.  A stack of rows is
+    swept row by row."""
     g = build(level)
     rng = np.random.default_rng(seed)
     heights = rng.integers(-60, 61, size=g.num_vertices - 1)
@@ -264,6 +354,9 @@ def test_recurrent_representative(level, seed):
     assert np.all(_solve_times_four(g, heights - r.heights) % 4 == 0)
     eta = sample_recurrent(g, rng)
     assert np.array_equal(_recurrent_representative(g, eta.heights), eta.heights)
+    stack = np.stack([heights, eta.heights, -heights])
+    rows = [_recurrent_representative(g, row) for row in stack]
+    assert np.array_equal(_recurrent_representative(g, stack), rows)
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -308,6 +401,9 @@ def test_solve_times_four_is_exact(level):
     cases += [np.ones(n, dtype=np.int64), rng.integers(-(2**40), 2**40, size=n)]
     for b in cases:
         assert np.array_equal(_laplacian(g, _solve_times_four(g, b)), 4 * b)
+    stack = np.stack(cases)
+    assert np.array_equal(_solve_times_four(g, stack), [_solve_times_four(g, b) for b in cases])
+    assert np.array_equal(_laplacian(g, _solve_times_four(g, stack)), 4 * stack)
     if level <= 2:
         dense = np.diag(g.degrees[:-1]) - g.nonsink_adjacency.toarray()
         columns = np.stack([_solve_times_four(g, e) for e in np.eye(n, dtype=np.int64)], axis=1)
