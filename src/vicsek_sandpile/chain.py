@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,7 +44,7 @@ import numpy as np
 from .critical_group import SingularMatrixError
 from .fractal_graph import build, has_ternary_digit_two, kappa
 from .recurrence import _as_generator, enumerate_recurrent_k4
-from .sandpile import _K4_RECURRENT, SandpileConfig, stabilize
+from .sandpile import add_particles, stabilize
 
 STATES = (0, 1, 2, 3, 4)
 
@@ -67,9 +67,6 @@ class TransitionMatrix:
     def __getitem__(self, state: int) -> tuple[Fraction, ...]:
         return self.rows[state]
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([[float(p) for p in row] for row in self.rows])
-
     def scaled_by_16(self) -> list[list[int]]:
         """Integer matrix 16*P; every entry of P has denominator dividing 16."""
         out = []
@@ -84,40 +81,47 @@ class TransitionMatrix:
         return out
 
 
+@lru_cache(maxsize=1)
+def _k4_walk_table() -> np.ndarray:
+    """T[b, x]: the particles that a K4 block passes to its sink when x
+    particles arrive at the corner opposite the sink, one engine
+    stabilization per pair, with b indexing ``enumerate_recurrent_k4()``
+    (the samplers' row order).  T[b, 0] = 0, and T[b, 4] = 4 because four
+    particles at a vertex act as the group identity.  Cached, read-only."""
+    g = build(0)
+    blocks = enumerate_recurrent_k4()
+    walk = np.zeros((len(blocks), 5), dtype=np.int64)
+    for b, config in enumerate(blocks):
+        for x in (1, 2, 3, 4):
+            walk[b, x] = stabilize(g, add_particles(g, config, (0, 0), x))[1].sink_particles
+    walk.flags.writeable = False
+    return walk
+
+
 def k4_transition_table() -> dict[tuple[tuple[int, int, int], int], int]:
     """Particles collected at the sink of a K4 block, for every recurrent
     block configuration and every number of particles added at the corner
-    opposite the sink.  Computed with the sandpile engine."""
-    g = build(0)
-    origin = (0, 0)
-    oi = g.vertex_index(origin)
-    table: dict[tuple[tuple[int, int, int], int], int] = {}
-    for config in enumerate_recurrent_k4():
-        for added in (1, 2, 3, 4):
-            bumped = config.heights.copy()
-            bumped[oi] += added
-            _, report = stabilize(g, SandpileConfig(bumped))
-            table[(config.as_tuple(), added)] = report.sink_particles
-    return table
+    opposite the sink: a dict view of ``_k4_walk_table``."""
+    walk = _k4_walk_table()
+    return {
+        (config.as_tuple(), x): int(walk[b, x])
+        for b, config in enumerate(enumerate_recurrent_k4())
+        for x in (1, 2, 3, 4)
+    }
 
 
 @lru_cache(maxsize=1)
 def transition_matrix() -> TransitionMatrix:
-    """One-step law of the nested-volume chain: rows 1..4 average the
-    collected-particle counts over the 16 equally likely blocks; 0 is
-    absorbing.  Derived from engine stabilizations on first use and cached
-    (the result is immutable)."""
-    table = k4_transition_table()
-    configs = sorted({key[0] for key in table})
-    rows: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1 if j == 0 else 0) for j in STATES)
-    ]
-    for added in (1, 2, 3, 4):
-        counts = [0] * 5
-        for c in configs:
-            counts[table[(c, added)]] += 1
-        rows.append(tuple(Fraction(k, len(configs)) for k in counts))
-    return TransitionMatrix(rows=tuple(rows))
+    """One-step law of the nested-volume chain: row x counts column x of
+    ``_k4_walk_table`` over the 16 equally likely blocks, so 0 and 4 are
+    absorbing.  Cached (the result is immutable)."""
+    walk = _k4_walk_table()
+    return TransitionMatrix(
+        rows=tuple(
+            tuple(Fraction(int(k), len(walk)) for k in np.bincount(walk[:, x], minlength=5))
+            for x in STATES
+        )
+    )
 
 
 def absorption_probabilities(matrix: TransitionMatrix | None = None) -> tuple[Fraction, ...]:
@@ -216,6 +220,8 @@ def k_step_closed_form(start: int, k: int) -> tuple[float, ...]:
     commutes with the state flip j -> 4-j, which covers start state 3, and
     the absorbing states are constant.
     """
+    if start not in STATES:
+        raise ValueError(f"start state must be in 0..4, got {start}")
     if k < 1:
         raise ValueError("the closed form holds for k >= 1")
     if start == 0 or start == 4:
@@ -355,6 +361,8 @@ def radius_pmf_table(max_n: int, matrix: TransitionMatrix | None = None) -> list
     ``radius_pmf`` keeps the per-radius propagation as the reference the
     tests compare this against.
     """
+    if max_n < 0:
+        raise ValueError("max_n must be non-negative")
     P = matrix if matrix is not None else transition_matrix()
     p16 = P.scaled_by_16()
     starts = {n: kappa(n - 1) for n in range(1, max_n + 1) if not has_ternary_digit_two(n)}
@@ -404,39 +412,21 @@ class MonteCarloEstimate:
     workers: int  # the worker processes that ran, not the count asked for
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "level": self.level,
-            "trials": self.trials,
-            "stabilized": self.stabilized,
-            "exploded": self.exploded,
-            "truncated": self.truncated,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "workers"}
 
 
-def _sixteenth_lut(matrix: TransitionMatrix) -> np.ndarray:
-    """next_state = LUT[state, d] for d uniform on 0..15; exact because every
-    transition probability is a multiple of 1/16."""
-    p16 = matrix.scaled_by_16()
-    lut = np.zeros((5, 16), dtype=np.int64)
-    for s in STATES:
-        draws = []
-        for j, weight in enumerate(p16[s]):
-            draws.extend([j] * weight)
-        lut[s] = draws
-    return lut
-
-
-def _run_chain_trials(trials: int, max_steps: int, rng: np.random.Generator, lut: np.ndarray) -> tuple[int, int, int]:
+def _run_chain_trials(trials: int, level: int, rng: np.random.Generator) -> tuple[int, int, int]:
+    """Each live trial steps to next[d, state] for d uniform on 0..15, which
+    is exact because column x of the sorted walk table holds each j exactly
+    16 P[x][j] times."""
+    step = np.sort(_k4_walk_table(), axis=0)
     states = np.ones(trials, dtype=np.int64)
     active = np.arange(trials)
-    for _ in range(max_steps):
+    for _ in range(3**level):
         if len(active) == 0:
             break
-        draws = rng.integers(0, 16, size=len(active))
-        states[active] = lut[states[active], draws]
+        draws = rng.integers(0, len(step), size=len(active))
+        states[active] = step[draws, states[active]]
         live = (states[active] != 0) & (states[active] != 4)
         active = active[live]
     stabilized = int(np.count_nonzero(states == 0))
@@ -444,23 +434,9 @@ def _run_chain_trials(trials: int, max_steps: int, rng: np.random.Generator, lut
     return stabilized, exploded, trials - stabilized - exploded
 
 
-@lru_cache(maxsize=1)
-def _k4_walk_table() -> np.ndarray:
-    """T[b, x]: the particles that block b, row b of ``_K4_RECURRENT``,
-    passes to its sink when x particles arrive at the corner opposite the
-    sink, from ``k4_transition_table``.  T[b, 0] = 0 and T[b, 4] = 4."""
-    table = k4_transition_table()
-    walk = np.zeros((len(_K4_RECURRENT), 5), dtype=np.int64)
-    for b, block in enumerate(_K4_RECURRENT.tolist()):
-        for x in (1, 2, 3, 4):
-            walk[b, x] = table[(tuple(block), x)]
-    walk.flags.writeable = False
-    return walk
-
-
 def _run_sandpile_trials(trials: int, level: int, rng: np.random.Generator) -> tuple[int, int, int]:
     walk = _k4_walk_table()
-    picks = rng.integers(0, len(_K4_RECURRENT), size=(trials, 3**level))
+    picks = rng.integers(0, len(walk), size=(trials, 3**level))
     states = np.ones(trials, dtype=np.int64)  # the added particle at the origin
     for blocks in picks.T:
         states = walk[blocks, states]
@@ -533,10 +509,8 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
 
 
 def _run_trial_block(mode: str, level: int, trials: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    if mode == "chain":
-        lut = _sixteenth_lut(transition_matrix())
-        return _run_chain_trials(trials, 3**level, rng, lut)
-    return _run_sandpile_trials(trials, level, rng)
+    run = _run_chain_trials if mode == "chain" else _run_sandpile_trials
+    return run(trials, level, rng)
 
 
 def default_workers() -> int:

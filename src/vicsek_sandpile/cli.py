@@ -169,8 +169,6 @@ def cmd_chain(args) -> int:
         else:
             _emit(",".join(vals))
     elif args.subcommand == "pmf":
-        if args.max_n < 0:
-            raise ValueError("--max-n must be non-negative")
         table = radius_pmf_table(args.max_n, P)
         if args.format == "json":
             _emit_json(

@@ -24,10 +24,9 @@ the order of an element is the largest order among its coordinates.
 ``smith_normal_form`` stays as a general tool, and the tests use it as the
 cross-check of the block decomposition.  It works by exact integer
 elimination with minimal-absolute-value pivoting and the usual divisibility
-repair (add an offending row into the pivot row and re-eliminate).  Row
-operations run vectorized on int64 with an explicit magnitude guard; if a
-computation ever approaches the word size it is redone with
-arbitrary-precision integers.
+repair (add an offending row into the pivot row and re-eliminate).  The
+entries are Python integers in object arrays, so no intermediate can
+overflow, and each row or column operation is one numpy step.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .sandpile import (
     stabilize_many,
 )
 
-_INT64_GUARD = 2**60
-
 
 class SingularMatrixError(ArithmeticError):
     """A matrix or linear system is singular (rank deficient)."""
@@ -65,16 +62,11 @@ def reduced_laplacian(g: BlockTree) -> np.ndarray:
     return out
 
 
-class _Int64Overflow(Exception):
-    pass
-
-
 def _snf_diagonal(mat: np.ndarray) -> list[int]:
     """Diagonalize by unimodular row/column operations; returns the diagonal
-    in divisibility order.  Works elementwise for int64 and object dtypes."""
+    in divisibility order.  The entries are Python integers (object dtype)."""
     A = mat.copy()
     n, m = A.shape
-    guard = A.dtype == np.int64
     diag: list[int] = []
     for t in range(min(n, m)):
         sub = A[t:, t:]
@@ -93,8 +85,6 @@ def _snf_diagonal(mat: np.ndarray) -> list[int]:
             if pivot < 0:
                 A[t, :] = -A[t, :]
                 pivot = A[t, t]
-            if guard and int(abs(A[t:, t:]).max()) ** 2 > _INT64_GUARD:
-                raise _Int64Overflow
             col = A[t + 1 :, t]
             rows = np.nonzero(col)[0]
             if len(rows):
@@ -153,15 +143,7 @@ def smith_normal_form(mat) -> InvariantFactors:
         raise ValueError("need a square matrix")
     if A.dtype.kind not in "iuO":
         raise ValueError("matrix entries must be integers")
-    try:
-        diag = _snf_diagonal(A.astype(np.int64))
-    except (OverflowError, _Int64Overflow):
-        obj = np.empty(A.shape, dtype=object)
-        for i in range(A.shape[0]):
-            for j in range(A.shape[1]):
-                obj[i, j] = int(A[i, j])
-        diag = _snf_diagonal(obj)
-    return InvariantFactors(tuple(diag))
+    return InvariantFactors(tuple(_snf_diagonal(np.frompyfunc(int, 1, 1)(A))))
 
 
 def group_structure(level: int) -> InvariantFactors:

@@ -224,11 +224,6 @@ def untopple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> SandpileConfig:
     return SandpileConfig(out)
 
 
-def is_legal_topple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> bool:
-    vi = g.vertex_index(v)
-    return vi != g.sink_index and c.heights[vi] >= g.degrees[vi]
-
-
 def _laplacian(g: BlockTree, u: np.ndarray) -> np.ndarray:
     """Reduced Laplacian times u (or each row of a stack of u): what firing
     u takes from each height."""

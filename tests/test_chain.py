@@ -151,6 +151,9 @@ def test_closed_form_validation():
         k_step_closed_form(1, 0)
     assert k_step_closed_form(0, 5) == (1.0, 0.0, 0.0, 0.0, 0.0)
     assert k_step_closed_form(4, 5) == (0.0, 0.0, 0.0, 0.0, 1.0)
+    for start in (5, -1):
+        with pytest.raises(ValueError):
+            k_step_closed_form(start, 3)
 
 
 def test_chain_event_merging():
@@ -212,6 +215,8 @@ def test_radius_pmf_table():
     assert dict(table)[9] == RADIUS_PMF_KNOWN[9]
     with pytest.raises(ValueError):
         radius_pmf(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        radius_pmf_table(-3)
 
 
 # a second law with 16th-denominator rows and state 0 absorbing, not the
@@ -399,10 +404,35 @@ SANDPILE_COUNTS = {
 }
 
 
-def test_monte_carlo_sandpile_counts_pinned():
-    for (level, trials, seed), want in SANDPILE_COUNTS.items():
-        est = monte_carlo_stabilization("sandpile", level, trials, rng=seed)
+# chain-mode counts per (level, trials, seed), as the 5x16 lookup built from
+# the Fraction rows of the transition matrix gave them
+CHAIN_COUNTS = {
+    (3, 200_000, 12345): (150073, 49927, 0),
+    (1, 5000, 3): (3372, 897, 731),
+}
+
+
+def _assert_counts_pinned(mode, pinned):
+    for (level, trials, seed), want in pinned.items():
+        est = monte_carlo_stabilization(mode, level, trials, rng=seed)
         assert (est.stabilized, est.exploded, est.truncated) == want, (level, trials, seed)
+
+
+def test_monte_carlo_sandpile_counts_pinned():
+    _assert_counts_pinned("sandpile", SANDPILE_COUNTS)
+
+
+def test_monte_carlo_chain_counts_pinned():
+    _assert_counts_pinned("chain", CHAIN_COUNTS)
+
+
+def test_sorted_walk_table_is_the_sixteenths_law():
+    """Column x of the sorted walk table, which the chain mode draws from,
+    holds each next state j exactly 16 P[x][j] times."""
+    step = np.sort(_k4_walk_table(), axis=0)
+    for x in STATES:
+        for j in STATES:
+            assert np.count_nonzero(step[:, x] == j) == 16 * P_ROWS[x][j], (x, j)
 
 
 def test_k4_walk_table():

@@ -80,6 +80,11 @@ def test_chain_pmf(capsys):
     assert lines[2] == "2,0,1,0.0"
 
 
+def test_chain_pmf_rejects_negative_max_n(capsys):
+    code, out, err = run(capsys, "chain", "pmf", "--max-n", "-1")
+    assert code == EXIT_USAGE and out == "" and "non-negative" in err
+
+
 def test_chain_pmf_json(capsys):
     code, out, _ = run(capsys, "chain", "pmf", "--max-n", "3", "--format", "json")
     data = json.loads(out)
