@@ -43,7 +43,7 @@ import numpy as np
 
 from .critical_group import SingularMatrixError
 from .fractal_graph import build, has_ternary_digit_two, kappa
-from .recurrence import _as_generator, enumerate_recurrent_k4
+from .recurrence import enumerate_recurrent_k4
 from .sandpile import add_particles, stabilize
 
 STATES = (0, 1, 2, 3, 4)
@@ -479,7 +479,7 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
         raise ValueError("level must be non-negative")
     if mode == "sandpile":
         build(level)  # enforces the build cap
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
 
     size = _BLOCK_TRIALS[mode]
     blocks = [min(size, trials - start) for start in range(0, trials, size)]

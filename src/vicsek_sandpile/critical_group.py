@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractal_graph import BlockTree, Coord, VicsekGraph, build
-from .recurrence import _as_generator, is_recurrent, sample_recurrent
+from .recurrence import is_recurrent, sample_recurrent
 from .sandpile import (
     _STACK_HEIGHTS,
     SandpileConfig,
@@ -217,7 +217,7 @@ def sink_hit_probability(
         raise ValueError("x must differ from the sink")
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     hits = 0
     per_stack = max(1, _STACK_HEIGHTS // (g.num_vertices - 1))
     for start in range(0, samples, per_stack):

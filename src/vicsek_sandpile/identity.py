@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fractal_graph import Coord, VicsekGraph, build
-from .recurrence import _as_generator, is_recurrent, sample_recurrent
+from .recurrence import is_recurrent, sample_recurrent
 from .sandpile import (
     _STACK_HEIGHTS,
     SandpileConfig,
@@ -167,7 +167,7 @@ def verify_identity(
     """
     if samples < 1:
         raise ValueError("identity verification needs at least one sample")
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     report = IdentityReport(level=g.level, samples=samples)
     report.height_histogram = dict(sorted(Counter(candidate.heights.tolist()).items()))
 

@@ -47,12 +47,6 @@ from .sandpile import (  # noqa: F401
 )
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass
 class SpanningTree:
     """Sink-rooted spanning tree given by the parent index of every other
@@ -204,7 +198,7 @@ def wilson_ust(g: VicsekGraph, rng) -> SpanningTree:
     array implicitly erases loops (a revisited vertex overwrites its old
     successor), which is Wilson's cycle-popping formulation.
     """
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     n = g.num_vertices
     root = g.sink_index
     in_tree = np.zeros(n, dtype=bool)
@@ -234,7 +228,7 @@ def sample_recurrent(g: VicsekGraph, rng) -> SandpileConfig:
     """Exactly uniform sample from the recurrent configurations: one uniform
     recurrent K4 configuration per block on its three non-root corners (in
     canonical order), plus three particles at every non-sink block root."""
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     heights = _glue(g)
     heights[g.block_corners] += _K4_RECURRENT[
         rng.integers(0, len(_K4_RECURRENT), size=len(g.blocks))
@@ -248,7 +242,7 @@ def sample_ivl_diagonal(m: int, rng) -> list[SandpileConfig]:
     cutpoint gluing applied at assembly)."""
     if m < 1:
         raise ValueError("need at least one block")
-    rng = _as_generator(rng)
+    rng = np.random.default_rng(rng)
     picks = rng.integers(0, len(_K4_RECURRENT), size=m)
     return [SandpileConfig(_K4_RECURRENT[i]) for i in picks]
 

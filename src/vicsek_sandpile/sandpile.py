@@ -21,30 +21,24 @@ that fires whole subtrees finds the one recurrent configuration r equivalent
 to the heights h; eliminating the blocks leaves-first gives u = L^-1 (h - r)
 exactly in int64 for the reduced Laplacian L, from two prefix sums over a
 preorder of the block tree.  If u >= 0, r and u are the stable result and
-the odometer (proof in ``stabilize``); that is so exactly when the result is
-recurrent, as for a recurrent configuration plus particles, sums of
-recurrent configurations and multiples of them.  The solve is skipped when
-sum(h) < sum(r), because the sink cannot give particles back.
+the odometer (proof in ``stabilize_many``); that is so exactly when the
+result is recurrent, as for a recurrent configuration plus particles, sums
+of recurrent configurations and multiples of them.  The solve is skipped
+when sum(h) < sum(r), because the sink cannot give particles back.
 
-Otherwise, when the heights' total exceeds that of the maximal stable
-configuration, sum(deg - 1), the surplus must leave through the sink, and
-the stabilizer takes a head start from the least action principle
-(Fey, Levine and Peres, arXiv:0901.3805): if 0 <= u0 <= odometer, firing u0
-at once and then toppling legally ends in the same stable configuration with
-the same odometer.  L is an M-matrix, so L^-1 >= 0, and the stable end
-s = h - L odometer has s <= deg - 1; hence the odometer is at least
-z = L^-1 (h - (deg - 1)), and u0 = max(ceil(z), 0).  It leaves the rounds
-the gap L^-1 ((deg - 1) - s), which does not grow with the mass.
-
-The rest fires all currently unstable vertices in rounds, firing each
-vertex floor(height/deg) times at once; every one of those topplings is
-legal, so the schedule is just one particular legal order, chosen because it
-vectorizes well.  The head start and each round are one scipy sparse
-product with the adjacency, the only steps of a stabilization that need
-scipy, so a result read off the block tree never imports it.  The plain
-rounds from no head start, a randomized single-toppling stabilizer and an
-exact rational head start live in the test suite as the references the
-engine is checked against.
+A row that is not read off runs the rounds from its own heights, firing
+all currently unstable vertices at once, each floor(height/deg) times;
+every one of those topplings is legal, so the schedule is just one
+particular legal order, chosen because it vectorizes well.  Its result is
+not recurrent, so some vertex never topples: were every vertex to topple,
+the member of any set F whose last toppling comes first would gain a
+particle from each of its neighbours in F afterwards, and F would not be
+forbidden.  Each round is one scipy sparse product with the adjacency, the
+only step of a stabilization that needs scipy, so a result read off the
+block tree never imports it.  The plain rounds, a randomized
+single-toppling stabilizer and the rounds from an exact rational
+least-action bound live in the test suite as the references the engine is
+checked against.
 """
 
 from __future__ import annotations
@@ -140,8 +134,8 @@ class SandpileConfig:
 class AvalancheReport:
     """Accounting for one stabilization: odometer, toppled set, diameter,
     the number of particles delivered to the sink, the number of toppling
-    rounds the engine ran after its one-step fire, and whether the result
-    was read off the block tree (then with 0 rounds).
+    rounds the engine ran, and whether the result was read off the block
+    tree (then with 0 rounds).
 
     The diameter (largest pairwise graph distance over the toppled set) is
     computed on first access: -1 for an empty toppled set, 0 for a single
@@ -224,12 +218,6 @@ def untopple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> SandpileConfig:
     return SandpileConfig(out)
 
 
-def _laplacian(g: BlockTree, u: np.ndarray) -> np.ndarray:
-    """Reduced Laplacian times u (or each row of a stack of u): what firing
-    u takes from each height."""
-    return g.degrees[:-1] * u - (g.nonsink_adjacency @ u.T).T
-
-
 def _solve_times_four(g: BlockTree, b: np.ndarray) -> np.ndarray:
     """4 L^-1 b for an integer vector b and the reduced Laplacian L, exactly,
     from two prefix sums over the preorder of the vertex tree.
@@ -266,22 +254,6 @@ def _solve_times_four(g: BlockTree, b: np.ndarray) -> np.ndarray:
     z4 = np.empty_like(w)
     z4[tree.order] = np.cumsum(steps[:-1], axis=0)
     return z4.T
-
-
-def _odometer_lower_bound(g: BlockTree, heights: np.ndarray) -> np.ndarray:
-    """max(ceil(z), 0) for z = L^-1 (heights - (deg - 1)): a head start that
-    the odometer dominates.
-
-    The stable result s = heights - L odometer has s <= deg - 1, so
-    L odometer >= b = heights - (deg - 1).  L is an M-matrix, L^-1 >= 0,
-    hence odometer >= z, and the odometer is a non-negative integer vector.
-    stabilize calls it only above the maximal stable total, so sum(b) > 0.
-    As sum(|b|) = 2 * sum(max(b, 0)) - sum(b) and b <= heights, a positive
-    mass of at most 2^40 gives sum(|b|) < 2^41, so |4z| < depth * 2^42 fits
-    in int64.
-    """
-    b = heights - (g.degrees[:-1] - 1)
-    return np.maximum(-(-_solve_times_four(g, b) >> 2), 0)
 
 
 def _glue(g: BlockTree) -> np.ndarray:
@@ -358,16 +330,8 @@ def stabilize_many(
     sum(|h - r|) <= 2 * 2^40, so |4u| <= depth * 2^42 fits in int64 (see
     _solve_times_four).
 
-    Otherwise, when the total exceeds that of the maximal stable
-    configuration, the engine fires a lower bound u0 on the odometer o in
-    one step (see _odometer_lower_bound); the rounds then finish from
-    h - L u0.  By the least action principle this gives the same stable
-    configuration and the same odometer as legal toppling from h: the
-    odometer o' of h - L u0 is at most o - u0, because firing o - u0 from
-    there reaches the stable h - L o, and u0 + o' is at least o, because
-    h - L (u0 + o') is stable.  Below that total the avalanche need not
-    reach the sink, and the rounds start from nothing.  The rows left to
-    the rounds run them together; a row's rounds are the ones in which it
+    Otherwise the row runs the rounds from its own heights, together with
+    the other rows left to them; a row's rounds are the ones in which it
     fired.
     """
     for c in configs:
@@ -395,10 +359,6 @@ def stabilize_many(
         heights[solve], odometer[solve], read_off[solve] = recurrent[keep], u4[keep] >> 2, True
         rows = rows[~read_off[rows]]
     if len(rows):
-        head = rows[mass[rows] > deg.sum() - len(deg)]
-        if len(head):
-            odometer[head] = _odometer_lower_bound(g, heights[head])
-            heights[head] -= _laplacian(g, odometer[head])
         live, fired, count = heights[rows], odometer[rows], rounds[rows]
         while True:
             fire = live // deg
@@ -421,6 +381,7 @@ def stabilize_many(
 
 
 def add_particles(g: VicsekGraph, c: SandpileConfig, v: Coord, k: int) -> SandpileConfig:
+    _check_config(g, c)
     if k < 0:
         raise ValueError("particle count must be non-negative")
     vi = g.vertex_index(v)

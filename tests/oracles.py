@@ -96,11 +96,17 @@ def random_order_stabilize(g: VicsekGraph, c: SandpileConfig, rng: np.random.Gen
     return SandpileConfig(heights), odometer, sink_particles
 
 
+def apply_laplacian(g: VicsekGraph, u: np.ndarray) -> np.ndarray:
+    """Reduced Laplacian times u (or each row of a stack of u): what firing
+    u takes from each height."""
+    return g.degrees[:-1] * u - (g.nonsink_adjacency @ u.T).T
+
+
 def round_stabilize(g: VicsekGraph, c: SandpileConfig):
-    """Stabilize in parallel rounds from no head start: each round fires
-    every vertex floor(height / degree) times at once.  Every round is a
-    batch of legal topplings, and there is one round per unit of the
-    largest odometer entry.
+    """Stabilize in parallel rounds: each round fires every vertex
+    floor(height / degree) times at once.  Every round is a batch of legal
+    topplings, and there are at most as many rounds as the largest odometer
+    entry.
 
     Returns (stable SandpileConfig, odometer array, particles at the sink).
     """
@@ -188,7 +194,7 @@ def exact_least_action_stabilize(g: VicsekGraph, c: SandpileConfig):
     """
     b = c.heights - (g.degrees[:-1] - 1)
     u0 = np.array([max(math.ceil(x), 0) for x in exact_laplacian_solve(g, b)], dtype=np.int64)
-    fired = c.heights - g.degrees[:-1] * u0 + g.nonsink_adjacency.dot(u0)
+    fired = c.heights - apply_laplacian(g, u0)
     out, odometer, _ = round_stabilize(g, SandpileConfig(fired))
     odometer = odometer + u0
     return out, odometer, int(g.sink_degrees @ odometer)

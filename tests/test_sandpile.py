@@ -28,14 +28,13 @@ from vicsek_sandpile.identity import identity
 from vicsek_sandpile.recurrence import is_recurrent
 from vicsek_sandpile.sandpile import (
     _chain_volume,
-    _laplacian,
-    _odometer_lower_bound,
     _recurrent_representative,
     _solve_times_four,
 )
 
 from .oracles import (
     _bfs,
+    apply_laplacian,
     burns,
     chain_queue_flow,
     exact_least_action_stabilize,
@@ -163,6 +162,22 @@ def test_abelian_order_independence(g2, rng):
 RANDOM_ORDER_BUDGET = 50_000
 
 
+@lru_cache(maxsize=None)
+def soaked_origin_case() -> SandpileConfig:
+    """10^4 particles at (1, 1) of level 2 with the origin at -X, where X is
+    what the origin soaks up when it sits at -2^40: the origin ends at 0 and
+    never topples, so the result is not recurrent, far above the maximal
+    stable total."""
+    g = build(2)
+    heights = np.zeros(g.num_vertices - 1, dtype=np.int64)
+    origin = g.vertex_index((0, 0))
+    heights[g.vertex_index((1, 1))] = 10**4
+    heights[origin] = -(2**40)
+    out, _, _ = round_stabilize(g, SandpileConfig(heights))
+    heights[origin] = -(int(out.heights[origin]) + 2**40)
+    return SandpileConfig(heights)
+
+
 def maximal_with_emptied_origin_block(g, bump_at):
     """The maximal stable configuration with (0,0), (0,1), (1,0) at 0 and 10
     particles added at vertex index bump_at: 4 above the maximal total."""
@@ -181,13 +196,19 @@ def stabilize_cases(draw):
     maximal stable configuration with the origin's block emptied and 10
     particles next to the sink at level 2 or 3, whose result is not
     recurrent, random heights from 0 to 40 over a hole up to 10 particles
-    per vertex deep, or a chain of 1 to 12 K4 blocks, the block tree of a
-    nested volume of the diagonal chain, with random heights from -5 to 40
+    per vertex deep, 10^4 particles at level 2 over an origin that soaks up
+    all that reaches it, or a chain of 1 to 12 K4 blocks, the block tree of
+    a nested volume of the diagonal chain, with random heights from -5 to 40
     or a uniform recurrent configuration plus 1 to 8 particles."""
-    kinds = ["random", "multiple", "identity", "particles", "pile", "emptied", "hole", "chain"]
+    kinds = [
+        "random", "multiple", "identity", "particles", "pile", "emptied", "hole", "soaked",
+        "chain",
+    ]
     kind = draw(st.sampled_from(kinds))
     if kind == "pile":
         g = build(1)
+    elif kind == "soaked":
+        return build(2), soaked_origin_case(), kind
     elif kind == "chain":
         g = _chain_volume(draw(st.integers(1, 12)))
     else:
@@ -222,9 +243,9 @@ def test_stabilize_matches_oracles(case, seed):
     """The engine against the plain rounds and single random legal
     topplings: heights, odometer and sink particles.  The piles are far
     beyond both; their reference is the rounds started from the least action
-    bound solved in exact rationals.  Above the maximal stable total the
-    engine runs no rounds exactly when the result is recurrent or the input
-    was stable already, whatever the mass."""
+    bound solved in exact rationals.  The engine runs no rounds exactly when
+    the result is recurrent or the input was stable already, whatever the
+    mass; the soaked origin never topples."""
     g, c, kind = case
     out, rep = stabilize(g, c)
     refs = []
@@ -238,20 +259,17 @@ def test_stabilize_matches_oracles(case, seed):
         assert out == ref_out
         assert np.array_equal(rep.odometer, ref_odometer)
         assert rep.sink_particles == ref_sink
-    # the head start stops short of the odometer by at most the gap
-    # L^-1 ((deg - 1) - stable) that the rounds are left with
-    lower = _odometer_lower_bound(g, c.heights)
-    assert np.all((lower >= 0) & (lower <= rep.odometer))
-    gap4 = _solve_times_four(g, g.degrees[:-1] - 1 - out.heights)
-    assert np.all(4 * (rep.odometer - lower) <= gap4)
     recurrent = burns(g, out)
     assert (rep.rounds == 0) == (recurrent or is_stable(g, c))
     assert recurrent or kind not in ("multiple", "identity", "particles")
     if kind == "emptied":
         assert rep.rounds > 0
+    if kind == "soaked":
+        assert c.total_mass() == 1218 and not rep.read_off
+        assert rep.odometer[g.vertex_index((0, 0))] == 0
 
 
-STACK_ROWS = ["stable", "particles", "low", "head start", "multiple"]
+STACK_ROWS = ["stable", "particles", "low", "refilled", "multiple"]
 
 
 def stack_row(g, kind, rng):
@@ -259,8 +277,7 @@ def stack_row(g, kind, rng):
     configuration plus 1 to 8 particles, a few particles on an empty
     graph (low mass, not recurrent), the maximal stable configuration with
     a random third of it emptied and more than that mass put back on one
-    vertex (above the maximal stable total, so the head start runs), or
-    k*eta for k <= 8."""
+    vertex (above the maximal stable total), or k*eta for k <= 8."""
     n = g.num_vertices - 1
     deg = g.degrees[:-1]
     if kind == "stable":
@@ -273,7 +290,7 @@ def stack_row(g, kind, rng):
         heights = np.zeros(n, dtype=np.int64)
         np.add.at(heights, rng.integers(0, n, size=rng.integers(1, 2 * n)), 1)
         return heights
-    if kind == "head start":
+    if kind == "refilled":
         heights = deg - 1
         hole = rng.choice(n, size=max(1, n // 3), replace=False)
         removed = heights[hole].sum()
@@ -370,14 +387,16 @@ def test_recurrent_results_take_no_rounds(level, rng):
         for start, want in [(ident + eta, eta), (eta.scaled(4), ident)]:
             out, rep = stabilize(g, start)
             assert out == want and rep.rounds == 0
-            assert np.array_equal(_laplacian(g, rep.odometer), start.heights - out.heights)
+            assert np.array_equal(
+                apply_laplacian(g, rep.odometer), start.heights - out.heights
+            )
 
 
 @pytest.mark.parametrize("level", [2, 3])
 def test_non_recurrent_result_takes_rounds(level):
     """Above the maximal stable total with a result that is not recurrent,
-    the engine falls back to the head start and rounds, and agrees with the
-    plain rounds."""
+    the engine runs the rounds from the heights, and agrees with the plain
+    rounds."""
     g = build(level)
     c = maximal_with_emptied_origin_block(g, g.neighbors[g.sink_index][0])
     assert c.total_mass() == (g.degrees[:-1] - 1).sum() + 4
@@ -400,10 +419,10 @@ def test_solve_times_four_is_exact(level):
     cases = [np.eye(1, n, i, dtype=np.int64)[0] for i in picks]
     cases += [np.ones(n, dtype=np.int64), rng.integers(-(2**40), 2**40, size=n)]
     for b in cases:
-        assert np.array_equal(_laplacian(g, _solve_times_four(g, b)), 4 * b)
+        assert np.array_equal(apply_laplacian(g, _solve_times_four(g, b)), 4 * b)
     stack = np.stack(cases)
     assert np.array_equal(_solve_times_four(g, stack), [_solve_times_four(g, b) for b in cases])
-    assert np.array_equal(_laplacian(g, _solve_times_four(g, stack)), 4 * stack)
+    assert np.array_equal(apply_laplacian(g, _solve_times_four(g, stack)), 4 * stack)
     if level <= 2:
         dense = np.diag(g.degrees[:-1]) - g.nonsink_adjacency.toarray()
         columns = np.stack([_solve_times_four(g, e) for e in np.eye(n, dtype=np.int64)], axis=1)
@@ -481,6 +500,8 @@ def test_add_particles(g1):
         add_particles(g1, c, g1.sink, 1)
     with pytest.raises(ValueError):
         add_particles(g1, c, (0, 0), -1)
+    with pytest.raises(ValueError):
+        add_particles(build(2), SandpileConfig([0, 0, 0]), (0, 0), 1)
 
 
 # ---------------------------------------------------------------------------
