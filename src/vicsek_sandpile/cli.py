@@ -34,7 +34,7 @@ from .chain import (
     transition_matrix,
 )
 from .critical_group import group_structure
-from .fractal_graph import CapacityError, VicsekGraph, build
+from .fractal_graph import CapacityError, VicsekGraph, build, level_cap
 from .identity import VerificationError, identity, verify_identity
 from .sandpile import SandpileConfig
 
@@ -68,12 +68,23 @@ def config_to_json(level: int, c: SandpileConfig) -> dict:
 
 
 def config_from_json(data: dict) -> tuple[int, SandpileConfig]:
-    level = int(data["level"])
+    level = data["level"]
+    if type(level) is not int or level < 0:
+        raise ValueError(f"level must be a non-negative integer, got {level!r}")
+    cap = level_cap()
+    if level > cap:
+        raise CapacityError(f"level {level} exceeds the build cap {cap}")
     if data.get("order") != "lex-xy":
         raise ValueError(f"unsupported height order {data.get('order')!r}")
-    c = SandpileConfig(data["heights"])
-    if len(c.heights) != 3 * 5**level:
+    heights = data["heights"]
+    if not isinstance(heights, list) or any(type(h) is not int for h in heights):
+        raise ValueError("heights must be a list of integers")
+    if len(heights) != 3 * 5**level:
         raise ValueError("height count does not match the level")
+    try:
+        c = SandpileConfig(heights)
+    except OverflowError as exc:
+        raise ValueError("heights must fit in 64-bit integers") from exc
     if (c.heights < 0).any():
         raise ValueError("heights must be non-negative")
     return level, c

@@ -245,8 +245,7 @@ class BlockTree:
         depth = self.distance_to_sink()
         tree = self.vertex_tree
         at = np.arange(len(tree.order))
-        # the sink takes position -1, as in vertex_tree; stop[-1] ends every span
-        p = next(iter(np.flatnonzero(tree.order == source)), -1)
+        p = self._position(source)
         ancestor = (at <= p) & (tree.stop > p)
         common = np.cumsum(ancestor - np.bincount(tree.stop[ancestor], minlength=len(at) + 1)[:-1])
         # the common ancestor is u or v when v is an ancestor of u or below it
@@ -258,6 +257,10 @@ class BlockTree:
 
     def distance_to_sink(self) -> np.ndarray:
         return self._layout[1]
+
+    def _position(self, i: int) -> int:
+        # vertex i's preorder position; the sink takes -1, so stop[-1] ends every span
+        return next(iter(np.flatnonzero(self.vertex_tree.order == i)), -1)
 
 
 class VicsekGraph(BlockTree):
@@ -355,28 +358,23 @@ def branch_component(g: VicsekGraph, x: Coord) -> set[Coord]:
 
 
 def geodesic_to_sink(g: VicsekGraph, x: Coord) -> list[Coord]:
-    """The unique shortest path from x to the sink (shown unique in tests)."""
-    xi = g.vertex_index(x)
-    dist = g.distance_to_sink()
-    path = [xi]
-    u = xi
-    while u != g.sink_index:
-        down = [w for w in g.neighbors[u] if dist[w] == dist[u] - 1]
-        if len(down) != 1:
-            raise RuntimeError(f"non-unique geodesic step at {g.vertices[u]}")
-        u = down[0]
-        path.append(u)
+    """The shortest path from x to the sink.  It is unique: a non-sink vertex
+    is a non-root corner of exactly one block, every path from it to the sink
+    passes that block's root, and the root is its neighbour."""
+    parent = np.empty(g.num_vertices, dtype=np.int64)
+    parent[g.block_corners] = g.block_roots[:, None]
+    path = [g.vertex_index(x)]
+    while path[-1] != g.sink_index:
+        path.append(int(parent[path[-1]]))
     return [g.vertices[i] for i in path]
 
 
 def descendants(g: VicsekGraph, x: Coord) -> set[Coord]:
-    """Vertices whose geodesic to the sink passes through x (x excluded)."""
-    xi = g.vertex_index(x)
-    dist_sink = g.distance_to_sink()
-    dist_x = g.distances_from(xi)
-    mask = dist_sink == dist_x + dist_sink[xi]
-    mask[xi] = False
-    return {g.vertices[i] for i in np.nonzero(mask)[0]}
+    """Vertices whose geodesic to the sink passes through x (x excluded):
+    x's subtree in the preorder of the vertex tree, less x."""
+    tree = g.vertex_tree
+    p = g._position(g.vertex_index(x))
+    return {g.vertices[i] for i in tree.order[p + 1 : tree.stop[p]].tolist()}
 
 
 def geodesic_subgraph(g: VicsekGraph, x: Coord) -> set[Coord]:
@@ -394,11 +392,7 @@ def geodesic_subgraph(g: VicsekGraph, x: Coord) -> set[Coord]:
 
 def graph_distance(g: VicsekGraph, v: Coord, w: Coord) -> int:
     """Shortest-path distance between two vertices."""
-    vi, wi = g.vertex_index(v), g.vertex_index(w)
-    if vi == wi:
-        return 0
-    dist = g.distances_from(vi)
-    return int(dist[wi])
+    return int(g.distances_from(g.vertex_index(v))[g.vertex_index(w)])
 
 
 def ternary_digits(n: int) -> list[int]:

@@ -20,8 +20,7 @@ each block's three corners away from its root (the corner nearest the sink),
 plus three particles at every non-sink root.  Each such configuration burns
 block by block, distinct choices differ, and there are 16^(5^n) of them, the
 number of spanning trees; so they are all the recurrent configurations,
-``sample_recurrent`` draws the blocks independently and is exactly uniform,
-and ``sample_ivl_diagonal`` does the same on the diagonal chain.
+and ``sample_recurrent`` draws the blocks independently and is exactly uniform.
 Wilson's algorithm and the burning bijection stay as the structure-free
 reference the tests compare against.
 """
@@ -37,7 +36,7 @@ import numpy as np
 from .fractal_graph import BlockTree, VicsekGraph, build
 # stabilize is no longer called here; a benchmark harness test asserts that
 # this module binds it, and the import goes with that assertion (ROADMAP
-# item 6, benchmark upkeep)
+# item 1, the benchmark re-cut)
 from .sandpile import (  # noqa: F401
     _K4_RECURRENT,
     SandpileConfig,
@@ -104,17 +103,6 @@ class EdgeOrder:
 
     def rank(self, v: int, w: int) -> int:
         return w
-
-
-class PermutedEdgeOrder(EdgeOrder):
-    """Edge order twisted by a fixed permutation of vertex indices (used to
-    check that the bijection holds for other orders too)."""
-
-    def __init__(self, perm):
-        self.perm = perm
-
-    def rank(self, v: int, w: int) -> int:
-        return int(self.perm[w])
 
 
 def is_recurrent(g: BlockTree, c: SandpileConfig) -> bool:
@@ -224,7 +212,7 @@ def wilson_ust(g: VicsekGraph, rng) -> SpanningTree:
     return SpanningTree(parent=parent, root=root)
 
 
-def sample_recurrent(g: VicsekGraph, rng) -> SandpileConfig:
+def sample_recurrent(g: BlockTree, rng) -> SandpileConfig:
     """Exactly uniform sample from the recurrent configurations: one uniform
     recurrent K4 configuration per block on its three non-root corners (in
     canonical order), plus three particles at every non-sink block root."""
@@ -233,38 +221,4 @@ def sample_recurrent(g: VicsekGraph, rng) -> SandpileConfig:
     heights[g.block_corners] += _K4_RECURRENT[
         rng.integers(0, len(_K4_RECURRENT), size=len(g.blocks))
     ]
-    return SandpileConfig(heights)
-
-
-def sample_ivl_diagonal(m: int, rng) -> list[SandpileConfig]:
-    """m independent uniform recurrent K4 blocks, the restriction of the
-    infinite-volume limit to consecutive diagonal blocks (before the +3
-    cutpoint gluing applied at assembly)."""
-    if m < 1:
-        raise ValueError("need at least one block")
-    rng = np.random.default_rng(rng)
-    picks = rng.integers(0, len(_K4_RECURRENT), size=m)
-    return [SandpileConfig(_K4_RECURRENT[i]) for i in picks]
-
-
-def assemble_diagonal(g: VicsekGraph, parts: list[SandpileConfig]) -> SandpileConfig:
-    """Glue per-block K4 configurations onto the diagonal chain of g, adding
-    three particles at each interior cutpoint (i, i); zero elsewhere.
-
-    Block j contributes its (bottom-left, top-left, bottom-right) heights at
-    (j-1, j-1), (j-1, j), (j, j-1); the block's top-right corner is the next
-    cutpoint and is owned by block j+1.
-    """
-    m = len(parts)
-    if m > 3**g.level:
-        raise ValueError(f"{m} blocks do not fit on a level-{g.level} diagonal")
-    heights = np.zeros(g.num_vertices - 1, dtype=np.int64)
-    for j, part in enumerate(parts, start=1):
-        if len(part.heights) != 3:
-            raise ValueError("diagonal parts must be level-0 configurations")
-        bl, tl, br = (int(h) for h in part.heights)  # canonical: (0,0),(0,1),(1,0)
-        bump = 3 if j > 1 else 0
-        heights[g.vertex_index((j - 1, j - 1))] = bl + bump
-        heights[g.vertex_index((j - 1, j))] = tl
-        heights[g.vertex_index((j, j - 1))] = br
     return SandpileConfig(heights)

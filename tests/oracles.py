@@ -22,6 +22,7 @@ from vicsek_sandpile import (
     group_add,
     merge,
 )
+from vicsek_sandpile.sandpile import _chain_volume, _glue
 
 
 def nx_graph(g: VicsekGraph) -> nx.Graph:
@@ -68,6 +69,27 @@ def hanging_from(neighbors: list[list[int]], sink: int, v: int) -> set[int]:
     search from the sink cannot reach without passing through v."""
     blocked = [[] if u == v else ws for u, ws in enumerate(neighbors)]
     return {u for u, d in enumerate(_bfs(blocked, sink)) if d < 0}
+
+
+def chain_config(g: VicsekGraph, chain) -> SandpileConfig:
+    """A configuration of g supported on its first m diagonal blocks, from
+    the 3m heights of ``_chain_volume(m)`` by chain id: (j, j), (j, j + 1),
+    (j + 1, j) at 3j, 3j + 1, 3j + 2."""
+    heights = np.zeros(g.num_vertices - 1, dtype=np.int64)
+    for cid, h in enumerate(np.asarray(chain, dtype=np.int64).tolist()):
+        x, corner = divmod(cid, 3)
+        heights[g.vertex_index([(x, x), (x, x + 1), (x + 1, x)][corner])] = h
+    return SandpileConfig(heights)
+
+
+def glued_chain(triples) -> np.ndarray:
+    """The heights of ``_chain_volume(m)`` for m K4 triples (rows): each on
+    its block's non-root corners, on top of the chain's glue (3 at each
+    interior cutpoint), as ``sample_recurrent`` places them."""
+    volume = _chain_volume(len(triples))
+    heights = _glue(volume)
+    heights[volume.block_corners] += np.asarray(triples, dtype=np.int64)
+    return heights
 
 
 def random_order_stabilize(g: VicsekGraph, c: SandpileConfig, rng: np.random.Generator):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vicsek_sandpile import radius_pmf
+from vicsek_sandpile import CapacityError, radius_pmf
 from vicsek_sandpile.cli import (
     EXIT_CAPACITY,
     EXIT_USAGE,
@@ -233,6 +233,16 @@ def test_config_json_roundtrip():
         config_from_json({"level": 1, "order": "lex-xy", "heights": [0] * 7})
     with pytest.raises(ValueError, match="non-negative"):
         config_from_json({"level": 1, "order": "lex-xy", "heights": [0] * 14 + [-1]})
+    # outside input is read as JSON integers only, never coerced
+    for heights in ([2.5, 0, 0], ["3", "1", "1"], [True, 1, 1], "311", [2**64, 0, 0]):
+        with pytest.raises(ValueError, match="integers"):
+            config_from_json({"level": 0, "order": "lex-xy", "heights": heights})
+    for level in (2.9, "1", True, -1):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            config_from_json({"level": level, "order": "lex-xy", "heights": [0] * 15})
+    # the cap is checked before 5**level is computed
+    with pytest.raises(CapacityError):
+        config_from_json({"level": 10**7, "order": "lex-xy", "heights": []})
 
 
 def test_usage_error_from_argparse(capsys):

@@ -230,14 +230,23 @@ def test_branch_single_cutpoint_property(g2):
                 assert w in comp or w == x
 
 
-def test_geodesic_unique_and_monotone(g2):
-    dist = _bfs(g2.neighbors, g2.sink_index)
-    for v in g2.vertices:
-        if v == g2.sink:
-            continue
-        path = geodesic_to_sink(g2, v)
-        assert path[0] == v and path[-1] == g2.sink
-        assert len(path) == dist[g2.vertex_index(v)] + 1
+def test_geodesic_unique_and_monotone():
+    """Every vertex has exactly one shortest path to the sink, counted over
+    breadth-first distances (N(sink) = 1, N(v) the sum of N(w) over the
+    neighbours w one step closer), and geodesic_to_sink walks it."""
+    for level in (1, 2, 3):
+        g = build(level)
+        dist = _bfs(g.neighbors, g.sink_index)
+        paths = [0] * g.num_vertices
+        paths[g.sink_index] = 1
+        for v in sorted(range(g.num_vertices), key=dist.__getitem__)[1:]:
+            paths[v] = sum(paths[w] for w in g.neighbors[v] if dist[w] == dist[v] - 1)
+        assert paths == [1] * g.num_vertices
+        for v in g.vertices[:-1]:
+            path = geodesic_to_sink(g, v)
+            assert path[0] == v and path[-1] == g.sink
+            assert len(path) == dist[g.vertex_index(v)] + 1
+            assert all(b in g.neighbors_of(a) for a, b in zip(path, path[1:]))
 
 
 def test_geodesic_subgraph_origin(g1):
@@ -333,7 +342,7 @@ def test_distances_from_match_bfs(kind, i):
     assert g.distance_to_sink().tolist() == _bfs(g.neighbors, g.sink_index)
 
 
-@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
 def test_descendants_are_what_x_separates_from_the_sink(level):
     g = build(level)
     for x in range(g.num_vertices):

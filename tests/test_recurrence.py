@@ -9,12 +9,10 @@ from scipy import stats
 from vicsek_sandpile import (
     SandpileConfig,
     add_particles,
-    assemble_diagonal,
     boundary_flow,
     build,
     enumerate_recurrent_k4,
     is_recurrent,
-    sample_ivl_diagonal,
     sample_recurrent,
     smith_normal_form,
     reduced_laplacian,
@@ -23,10 +21,10 @@ from vicsek_sandpile import (
     wilson_ust,
 )
 from vicsek_sandpile import recurrence
-from vicsek_sandpile.recurrence import EdgeOrder, PermutedEdgeOrder, SpanningTree
-from vicsek_sandpile.sandpile import _K4_RECURRENT, _k4_class
+from vicsek_sandpile.recurrence import EdgeOrder, SpanningTree
+from vicsek_sandpile.sandpile import _K4_RECURRENT, _chain_volume, _glue, _k4_class
 
-from .oracles import burns, k4_spanning_trees
+from .oracles import burns, chain_config, k4_spanning_trees
 
 # the sixteen recurrent K4 configurations with the sink at the top-right
 # corner, as (height(0,0), height(0,1), height(1,0)) triples
@@ -67,6 +65,17 @@ def test_k4_table_is_the_burning_table(g0):
     assert table == burned
     assert [c.as_tuple() for c in enumerate_recurrent_k4()] == table
     assert len(set(zip(*(k.tolist() for k in _k4_class(_K4_RECURRENT))))) == 16
+
+
+class PermutedEdgeOrder(EdgeOrder):
+    """Edge order twisted by a fixed permutation of vertex indices, to check
+    that the bijection holds for other orders too."""
+
+    def __init__(self, perm):
+        self.perm = perm
+
+    def rank(self, v: int, w: int) -> int:
+        return int(self.perm[w])
 
 
 def test_burning_counts_over_stable_triples(g0):
@@ -285,12 +294,16 @@ def test_full_graph_marginals_match_block_model(g1):
 
 
 def test_sample_ivl_diagonal_marginals(rng):
+    """The infinite-volume limit on the first m diagonal blocks, the block
+    sampler on the chain's block tree, holds independent uniform recurrent
+    K4 triples on the blocks' non-root corners, less the glue."""
     m, draws = 4, 4000
+    vol = _chain_volume(m)
     counts = [dict.fromkeys(RECURRENT_K4, 0) for _ in range(m)]
     pair: dict = {}
     for _ in range(draws):
-        parts = sample_ivl_diagonal(m, rng)
-        tuples = [p.as_tuple() for p in parts]
+        q = (sample_recurrent(vol, rng).heights - _glue(vol))[vol.block_corners]
+        tuples = [tuple(t) for t in q.tolist()]
         for j, t in enumerate(tuples):
             counts[j][t] += 1
         key = (tuples[0], tuples[1])
@@ -306,35 +319,19 @@ def test_sample_ivl_diagonal_marginals(rng):
             if expect > 0:
                 chi2 += (seen - expect) ** 2 / expect
     assert stats.chi2.sf(chi2, df=15 * 15) > 0.001
-    with pytest.raises(ValueError):
-        sample_ivl_diagonal(0, rng)
-
-
-def test_assemble_diagonal(g1):
-    parts = [SandpileConfig([0, 1, 2]), SandpileConfig([1, 0, 2]), SandpileConfig([2, 1, 0])]
-    c = assemble_diagonal(g1, parts)
-    assert c.heights[g1.vertex_index((0, 0))] == 0
-    assert c.heights[g1.vertex_index((0, 1))] == 1
-    assert c.heights[g1.vertex_index((1, 0))] == 2
-    assert c.heights[g1.vertex_index((1, 1))] == 1 + 3  # interior cutpoint
-    assert c.heights[g1.vertex_index((2, 2))] == 2 + 3
-    assert c.heights[g1.vertex_index((0, 3))] == 0  # off-chain support empty
-    with pytest.raises(ValueError):
-        assemble_diagonal(g1, [SandpileConfig([1, 1, 1, 1])])
-    with pytest.raises(ValueError):
-        assemble_diagonal(g1, [SandpileConfig([1, 1, 1])] * 4)
 
 
 def test_ivl_first_checkpoint_matches_transition_row(g2):
-    """Assembled block samples run through the nested-volume flow reproduce
-    the first row of the exact transition matrix."""
+    """Block samples on the diagonal chain run through the nested-volume flow
+    reproduce the first row of the exact transition matrix."""
     rng = np.random.default_rng(19)
     P = transition_matrix()
     draws = 6000
     counts = [0] * 5
+    vol = _chain_volume(9)
     for _ in range(draws):
-        parts = sample_ivl_diagonal(9, rng)
-        c = add_particles(g2, assemble_diagonal(g2, parts), (0, 0), 1)
+        eta = sample_recurrent(vol, rng)
+        c = add_particles(g2, chain_config(g2, eta.heights), (0, 0), 1)
         counts[boundary_flow(g2, c, [(1, 1)])[0]] += 1
     expected = [float(p) * draws for p in P[1]]
     chi2 = sum(

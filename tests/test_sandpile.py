@@ -8,7 +8,6 @@ from vicsek_sandpile import (
     AvalancheReport,
     SandpileConfig,
     add_particles,
-    assemble_diagonal,
     boundary_flow,
     branch_component,
     build,
@@ -17,7 +16,6 @@ from vicsek_sandpile import (
     geodesic_subgraph,
     group_add,
     is_stable,
-    sample_ivl_diagonal,
     sample_recurrent,
     stabilize,
     stabilize_many,
@@ -28,6 +26,7 @@ from vicsek_sandpile.identity import identity
 from vicsek_sandpile.recurrence import is_recurrent
 from vicsek_sandpile.sandpile import (
     _chain_volume,
+    _glue,
     _recurrent_representative,
     _solve_times_four,
 )
@@ -36,8 +35,10 @@ from .oracles import (
     _bfs,
     apply_laplacian,
     burns,
+    chain_config,
     chain_queue_flow,
     exact_least_action_stabilize,
+    glued_chain,
     nested_volume_counts,
     random_order_stabilize,
     round_stabilize,
@@ -512,31 +513,30 @@ def test_add_particles(g1):
 @pytest.mark.parametrize("i", [1, 2, 5, 9])
 def test_chain_volume_is_the_diagonal_chain(g2, i):
     """Volume i's block tree holds the level-2 graph's edges among the
-    diagonal chain's vertices up to (i, i), its sink, and its block roots
-    are the cutpoints (1, 1) .. (i, i)."""
+    diagonal chain's vertices up to (i, i), its sink, its block roots are
+    the cutpoints (1, 1) .. (i, i), and its glue is 3 at the interior
+    cutpoints (1, 1) .. (i - 1, i - 1) and 0 elsewhere."""
     vol = _chain_volume(i)
     coords = [v for x in range(i) for v in ((x, x), (x, x + 1), (x + 1, x))] + [(i, i)]
     idx = [g2.vertex_index(v) for v in coords]
     assert vol.num_vertices == len(coords) and vol.sink_index == 3 * i
     assert (g2.adjacency[idx][:, idx] != vol.adjacency).nnz == 0
     assert vol.block_roots.tolist() == [3 * j for j in range(1, i + 1)]
-
-
-def all_two_blocks(m):
-    return [SandpileConfig([2, 2, 2]) for _ in range(m)]
+    cutpoints = {(x, x) for x in range(1, i)}
+    assert _glue(vol).tolist() == [3 * (v in cutpoints) for v in coords[:-1]]
 
 
 def test_boundary_flow_all_two(g1):
-    c = assemble_diagonal(g1, all_two_blocks(3))
-    c = add_particles(g1, c, (0, 0), 1)
+    chain = glued_chain([[2, 2, 2]] * 3)
+    c = add_particles(g1, chain_config(g1, chain), (0, 0), 1)
     counts = boundary_flow(g1, c, [(1, 1), (2, 2), (3, 3)])
     assert counts[0] == 3
 
 
 def test_boundary_flow_zero_absorbs(g2):
     # a block sample that cannot pass anything on: origin height stays small
-    parts = [SandpileConfig([0, 0, 0])] + all_two_blocks(8)
-    c = add_particles(g2, assemble_diagonal(g2, parts), (0, 0), 1)
+    chain = glued_chain([[0, 0, 0]] + [[2, 2, 2]] * 8)
+    c = add_particles(g2, chain_config(g2, chain), (0, 0), 1)
     counts = boundary_flow(g2, c, [(i, i) for i in range(1, 10)])
     assert counts[0] == 0
     assert all(x == 0 for x in counts)
@@ -544,8 +544,8 @@ def test_boundary_flow_zero_absorbs(g2):
 
 def test_boundary_flow_four_persists(g2, rng):
     # inject 4 particles; every checkpoint passes exactly 4 onward
-    parts = sample_ivl_diagonal(9, rng)
-    c = add_particles(g2, assemble_diagonal(g2, parts), (0, 0), 4)
+    eta = sample_recurrent(_chain_volume(9), rng)
+    c = add_particles(g2, chain_config(g2, eta.heights), (0, 0), 4)
     counts = boundary_flow(g2, c, [(i, i) for i in range(1, 10)])
     assert all(x == 4 for x in counts)
 
@@ -563,8 +563,8 @@ def test_boundary_flow_validation(g1):
 
 
 def test_boundary_flow_subset_of_checkpoints(g2, rng):
-    parts = sample_ivl_diagonal(9, rng)
-    c = add_particles(g2, assemble_diagonal(g2, parts), (0, 0), 1)
+    eta = sample_recurrent(_chain_volume(9), rng)
+    c = add_particles(g2, chain_config(g2, eta.heights), (0, 0), 1)
     full = boundary_flow(g2, c, [(i, i) for i in range(1, 10)])
     partial = boundary_flow(g2, c, [(2, 2), (5, 5), (9, 9)])
     assert partial == [full[1], full[4], full[8]]
@@ -604,12 +604,8 @@ def test_boundary_flow_matches_queue_engine(level, low, high, data):
     g = build(level)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     chain = rng.integers(low, high, size=3 * g.side)
-    heights = np.zeros(g.num_vertices - 1, dtype=np.int64)
-    for cid, h in enumerate(chain.tolist()):
-        x, corner = divmod(cid, 3)
-        heights[g.vertex_index([(x, x), (x, x + 1), (x + 1, x)][corner])] = h
     stops = sorted(data.draw(st.sets(st.integers(1, g.side), min_size=1)))
-    counts = boundary_flow(g, SandpileConfig(heights), [(i, i) for i in stops])
+    counts = boundary_flow(g, chain_config(g, chain), [(i, i) for i in stops])
     full = chain_queue_flow(chain.tolist() + [0], g.side)
     assert counts == [full[i - 1] for i in stops]
 

@@ -38,6 +38,13 @@ def test_library_has_no_unused_imports():
         assert not unused, f"{path.name} imports but never uses {unused}"
 
 
+def test_public_names_resolve():
+    """Every name in ``__all__`` is bound in the package, so a star import
+    runs."""
+    assert [name for name in vicsek_sandpile.__all__ if not hasattr(vicsek_sandpile, name)] == []
+    exec("from vicsek_sandpile import *", {})
+
+
 def test_library_has_no_assert_statements():
     # `python -O` strips asserts, so invariants that guard results must raise
     modules = sorted(PACKAGE.glob("*.py"))
