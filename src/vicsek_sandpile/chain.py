@@ -514,5 +514,8 @@ def _run_trial_block(mode: str, level: int, trials: int, rng: np.random.Generato
 
 
 def default_workers() -> int:
-    cpus = os.cpu_count() or 1
-    return max(1, cpus)
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)

@@ -24,6 +24,8 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .chain import (
     absorption_probabilities,
@@ -143,9 +145,8 @@ def _rows_csv(rows: list[list[str]]) -> str:
 
 def cmd_graph(args) -> int:
     g = build(args.level)
-    histogram: dict[str, int] = {}
-    for d in g.degrees:
-        histogram[str(int(d))] = histogram.get(str(int(d)), 0) + 1
+    degrees, counts = np.unique(g.degrees, return_counts=True)
+    histogram = dict(zip(map(str, degrees.tolist()), counts.tolist()))
     _emit_json(
         {
             "level": g.level,
@@ -207,7 +208,7 @@ def cmd_chain(args) -> int:
 def cmd_mc(args) -> int:
     started = time.monotonic()
     if args.workers < 0:
-        raise ValueError("--workers must be non-negative (0 = all cores)")
+        raise ValueError("--workers must be non-negative (0 = all cores this process may use)")
     workers = args.workers if args.workers else default_workers()
     est = monte_carlo_stabilization(
         args.mode, args.level, args.trials, args.seed, workers=workers
@@ -288,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--level", type=int, required=True)
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--workers", type=int, default=0, help="0 = all cores")
+    p_mc.add_argument("--workers", type=int, default=0, help="0 = all cores this process may use")
     p_mc.set_defaults(func=cmd_mc)
 
     p_group = sub.add_parser(

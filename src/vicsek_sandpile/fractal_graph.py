@@ -90,16 +90,45 @@ class VertexTree(NamedTuple):
       p .. stop[p] - 1 are the subtree and stop[p] - p is its size;
     - ``block_start``, ``block_stop``: the span of the subtrees of the
       position's block: its three non-root corners and everything below
-      them.  The span of the sink's block is every position.
+      them.  The span of the sink's block is every position;
+    - ``by_stop``: the positions sorted by ``stop``;
+    - ``closed``: for each position p, how many subtrees have closed at or
+      before it, the number of positions a with stop[a] <= p.
 
-    A subtree sum is then the difference of two prefix sums, and a sum over
-    the path to the sink a prefix sum of a difference array.
+    A subtree sum is then the difference of two prefix sums.  A sum over
+    the path from a position to the sink is a prefix sum up to it less the
+    prefix, in ``by_stop`` order, over the ``closed`` subtrees before it.
     """
 
     order: np.ndarray
     stop: np.ndarray
     block_start: np.ndarray
     block_stop: np.ndarray
+    by_stop: np.ndarray
+    closed: np.ndarray
+
+
+class SweepLayout(NamedTuple):
+    """The depth-major numbering of a block tree's vertices on which the
+    leaves-first sweep runs.  Positions hold first every vertex that is no
+    block's root, then the block roots depth by depth, deepest first, in
+    the order of ``block_levels``, so the sink comes last.  Block k of that
+    order has its root at position len(order) - len(corners) + k, and the
+    roots of one depth fill one contiguous range.
+
+    - ``order``: the vertex index at each position;
+    - ``corners``: the positions of each block's three non-root corners,
+      one row per block, in the same block order;
+    - ``offsets``: the index of each depth's first block, with the number
+      of blocks last;
+    - ``slot``: each non-sink vertex's index in ``corners.ravel()``, as
+      every non-sink vertex is a non-root corner of exactly one block.
+    """
+
+    order: np.ndarray
+    corners: np.ndarray
+    offsets: np.ndarray
+    slot: np.ndarray
 
 
 class BlockTree:
@@ -109,6 +138,10 @@ class BlockTree:
     the sandpile engine needs is derived from the table: degrees and
     adjacency as flat CSR-style arrays up front; per-vertex neighbor lists,
     the non-sink views and the blocks' layout in the block tree on first use.
+    The layout is one walk from the sink, kept as flat arrays.  The
+    preorder of ``vertex_tree`` serves the exact solve and subtree sums;
+    the depth-major numbering of ``sweep_layout``, built on the first
+    read-off, serves the recurrent representative's residue sweep.
     """
 
     def __init__(self, blocks: np.ndarray):
@@ -164,13 +197,17 @@ class BlockTree:
         return out
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One walk out from the sink's one block.  Each step roots the blocks
         that the last step's corners reach at those corners; their other
         corners are the next frontier.  A cut vertex lies in two blocks, so
         the one beyond it is the sum of their indices less the one it was
         reached through.  Returns each block's root, each vertex's depth (its
-        distance to the sink) and the (roots, corners) per depth, sink first."""
+        distance to the sink) and the blocks by the depth of their root,
+        deepest first and flat: their roots, their non-root corners (one row
+        per block) and the index of each depth's first block, with the
+        number of blocks last.  Flat arrays keep a long chain of one-block
+        depths from costing one array object per depth."""
         blocks, is_cut = self.blocks, self.degrees > 3
         block_sum = np.zeros(len(is_cut), dtype=np.int64)
         np.add.at(block_sum, blocks, np.arange(len(blocks))[:, None])
@@ -186,7 +223,11 @@ class BlockTree:
             depth[corners] = len(levels)
             cut = is_cut[corners]
             at, through = corners[cut], (block_sum[corners] - through[:, None])[cut]
-        return roots, depth, levels
+        levels.reverse()
+        offsets = np.cumsum([0] + [len(at) for at, _ in levels])
+        level_roots = np.concatenate([at for at, _ in levels])
+        level_corners = np.concatenate([corners for _, corners in levels])
+        return roots, depth, level_roots, level_corners, offsets
 
     @cached_property
     def block_roots(self) -> np.ndarray:
@@ -201,12 +242,31 @@ class BlockTree:
         a non-root corner of exactly one block."""
         return self.blocks[self.blocks != self.block_roots[:, None]].reshape(-1, 3)
 
-    @cached_property
+    @property
     def block_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The blocks grouped by the depth of their root in the block tree,
         deepest first, the order in which leaves-first sweeps visit them: per
-        depth, the blocks' roots and, row by row, their non-root corners."""
-        return tuple(reversed(self._layout[2]))
+        depth, the blocks' roots and, row by row, their non-root corners.
+        Views into the flat layout, made on each call."""
+        _, _, roots, corners, offsets = self._layout
+        bounds = offsets.tolist()
+        return tuple((roots[a:b], corners[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def sweep_layout(self) -> SweepLayout:
+        """The depth-major numbering of the vertices that a leaves-first
+        sweep over ``block_levels`` runs on (see ``SweepLayout``), derived
+        from the flat layout on first use."""
+        _, _, roots, corners, offsets = self._layout
+        n = self.num_vertices
+        is_root = np.zeros(n, dtype=bool)
+        is_root[roots] = True
+        order = np.concatenate([np.flatnonzero(~is_root), roots])
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        slot = np.empty(n - 1, dtype=np.int64)
+        slot[corners.ravel()] = np.arange(corners.size)
+        return SweepLayout(order=order, corners=position[corners], offsets=offsets, slot=slot)
 
     @cached_property
     def vertex_tree(self) -> VertexTree:
@@ -214,14 +274,15 @@ class BlockTree:
         built from ``block_levels`` on first use: subtree sizes
         leaves-first, then positions from the sink down."""
         n = self.num_vertices
+        levels = self.block_levels
         size = np.ones(n, dtype=np.int64)
-        for roots, corners in self.block_levels:
+        for roots, corners in levels:
             size[roots] += size[corners].sum(axis=1)
         # the sink takes position -1, so its block starts at 0
         pos = np.full(n, -1, dtype=np.int64)
         block_start = np.empty(n, dtype=np.int64)
         block_stop = np.empty(n, dtype=np.int64)
-        for roots, corners in reversed(self.block_levels):
+        for roots, corners in reversed(levels):
             start = pos[roots, None] + 1
             ends = start + np.cumsum(size[corners], axis=1)
             pos[corners] = ends - size[corners]
@@ -229,11 +290,14 @@ class BlockTree:
             block_stop[corners] = ends[:, -1:]
         order = np.empty(n - 1, dtype=np.int64)
         order[pos[:-1]] = np.arange(n - 1)
+        stop = (pos + size)[order]
         return VertexTree(
             order=order,
-            stop=(pos + size)[order],
+            stop=stop,
             block_start=block_start[order],
             block_stop=block_stop[order],
+            by_stop=np.argsort(stop, kind="stable"),
+            closed=np.cumsum(np.bincount(stop, minlength=n))[: n - 1],
         )
 
     def distances_from(self, source: int) -> np.ndarray:

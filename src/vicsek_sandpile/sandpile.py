@@ -18,13 +18,17 @@ row.
 The stabilizer reads the result off the block tree first.  The sandpile
 group is the direct sum of the K4 blocks' groups, so a leaves-first sweep
 that fires whole subtrees finds the one recurrent configuration r equivalent
-to the heights h; eliminating the blocks leaves-first gives u = L^-1 (h - r)
-exactly in int64 for the reduced Laplacian L, from two prefix sums over a
-preorder of the block tree.  If u >= 0, r and u are the stable result and
-the odometer (proof in ``stabilize_many``); that is so exactly when the
-result is recurrent, as for a recurrent configuration plus particles, sums
-of recurrent configurations and multiples of them.  The solve is skipped
-when sum(h) < sum(r), because the sink cannot give particles back.
+to the heights h.  The sweep needs each height only mod 4, and it runs
+depth by depth on a depth-major numbering of the vertices in which each
+depth's block roots are one slice, so a depth costs five numpy steps for a
+whole stack of rows.  Eliminating the blocks leaves-first gives
+u = L^-1 (h - r) exactly in int64 for the reduced Laplacian L, from prefix
+sums over a preorder of the block tree.  If u >= 0, r and u are the stable
+result and the odometer (proof in ``stabilize_many``); that is so exactly
+when the result is recurrent, as for a recurrent configuration plus
+particles, sums of recurrent configurations and multiples of them.  The
+solve is skipped when sum(h) < sum(r), because the sink cannot give
+particles back.
 
 A row that is not read off runs the rounds from its own heights, firing
 all currently unstable vertices at once, each floor(height/deg) times;
@@ -35,10 +39,10 @@ the member of any set F whose last toppling comes first would gain a
 particle from each of its neighbours in F afterwards, and F would not be
 forbidden.  Each round is one scipy sparse product with the adjacency, the
 only step of a stabilization that needs scipy, so a result read off the
-block tree never imports it.  The plain rounds, a randomized
-single-toppling stabilizer and the rounds from an exact rational
-least-action bound live in the test suite as the references the engine is
-checked against.
+block tree never imports it.  The plain rounds, randomized legal orders,
+the rounds from an exact rational least-action bound and the
+representative sweep on exact sums live in the test suite as the
+references the engine is checked against.
 """
 
 from __future__ import annotations
@@ -77,6 +81,13 @@ def _k4_class(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # _K4_BY_CLASS[_k4_class(q)] is the recurrent triple equivalent to q
 _K4_BY_CLASS = np.empty((4, 4, 3), dtype=np.int64)
 _K4_BY_CLASS[_k4_class(_K4_RECURRENT)] = _K4_RECURRENT
+# The same law by residue code 16 q0 + 4 q1 + q2 (each q mod 4), for the
+# representative sweep: the recurrent triple t of the code's class, and the
+# carry sum(q - t) its block passes to the root.
+_CODE_WEIGHTS = np.array([16, 4, 1], dtype=np.int64)
+_RESIDUES = np.arange(64)[:, None] // _CODE_WEIGHTS % 4
+_K4_BY_CODE = _K4_BY_CLASS[_k4_class(_RESIDUES)]
+_K4_CARRY = (_RESIDUES - _K4_BY_CODE).sum(axis=1)
 
 
 class SandpileConfig:
@@ -220,7 +231,7 @@ def untopple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> SandpileConfig:
 
 def _solve_times_four(g: BlockTree, b: np.ndarray) -> np.ndarray:
     """4 L^-1 b for an integer vector b and the reduced Laplacian L, exactly,
-    from two prefix sums over the preorder of the vertex tree.
+    from prefix sums over the preorder of the vertex tree.
 
     Eliminate the blocks leaves-first.  By induction, once the blocks below
     a block are eliminated, the equations at its three non-root corners c
@@ -235,24 +246,26 @@ def _solve_times_four(g: BlockTree, b: np.ndarray) -> np.ndarray:
 
     So 4 z_c sums w_a = b'_a + (sum of b' over a's block) over c and every
     vertex between c and the sink.  In the preorder of ``g.vertex_tree``
-    both terms of w are differences of one prefix sum of b, and the sums
-    along the paths are the prefix sums of a difference array that adds w_a
-    where a's subtree starts and takes it off where the subtree stops.
-    Every partial sum is a partial sum of b or a 4z, within the bound.
-    A stack of b, one per row, is solved together, vertex by vertex down
-    the first axis of its transpose.
+    both terms of w are differences of one prefix sum of b, and the vertices
+    between position p and the sink are the positions a <= p whose subtree
+    has not closed by p: 4z at p is the prefix sum of w up to p less the
+    prefix sum of w, taken in ``by_stop`` order, over the ``closed[p]``
+    subtrees that have.  Every partial sum is a partial sum of b or a sum
+    of w over a set of positions, and sum(|w|) <= 4 * depth * sum(|b|), as
+    each vertex lies in at most depth subtrees and each block's sum is
+    counted at its three corners.  A stack of b, one per row, is solved
+    together, vertex by vertex down the first axis of its transpose.
     """
     tree = g.vertex_tree
     b = b.T
     prefix = np.zeros((len(b) + 1,) + b.shape[1:], dtype=np.int64)
-    np.cumsum(b[tree.order], axis=0, out=prefix[1:])
-    w = prefix[tree.stop] - prefix[:-1]
-    w += prefix[tree.block_stop] - prefix[tree.block_start]
-    steps = np.zeros_like(prefix)
-    steps[:-1] = w
-    np.subtract.at(steps, tree.stop, w)
+    np.cumsum(b.take(tree.order, axis=0), axis=0, out=prefix[1:])
+    w = prefix.take(tree.stop, axis=0) - prefix[:-1]
+    w += prefix.take(tree.block_stop, axis=0) - prefix.take(tree.block_start, axis=0)
+    closed = np.zeros_like(prefix)
+    np.cumsum(w.take(tree.by_stop, axis=0), axis=0, out=closed[1:])
     z4 = np.empty_like(w)
-    z4[tree.order] = np.cumsum(steps[:-1], axis=0)
+    z4[tree.order] = np.cumsum(w, axis=0) - closed.take(tree.closed, axis=0)
     return z4.T
 
 
@@ -275,26 +288,36 @@ def _recurrent_representative(g: BlockTree, heights: np.ndarray) -> np.ndarray:
     in its total on to the root.  Per block, deepest first, q is the heights
     at the corners, as updated from below, less the 3 that every non-sink
     root carries in a recurrent configuration; it is replaced by the
-    recurrent triple of its class.  The result is a recurrent K4 triple on
+    recurrent triple t of its class.  The result is a recurrent K4 triple on
     every block plus 3 at every non-sink root, which is recurrent (see
-    ``recurrence``).  A stack of height rows is swept as one forest: row i
-    is a copy of the tree on slots i(n + 1) to i(n + 1) + n, its sink last.
+    ``recurrence``).
+
+    Only residues mod 4 matter: a block's class depends on q mod 4, and so
+    does its carry sum(q - t) mod 4, which is all the root's own class will
+    read.  So the sweep keeps any state congruent to the heights mod 4 and
+    reads q & 3, which is q mod 4 on int64, negative values included.  It
+    runs on ``g.sweep_layout``, a stack of rows at a time: per depth it
+    gathers the corners, codes their residues 16 q0 + 4 q1 + q2 and adds
+    each block's carry to its root, the roots of one depth being one slice.
+    The triples come from one lookup of all the codes at the end.
     """
+    sweep = g.sweep_layout
     glue = _glue(g)
-    n = len(glue)
-    local = np.zeros((heights.size // n, n + 1), dtype=np.int64)
-    local[:, :-1] = heights.reshape(-1, n) - glue
-    shift = (n + 1) * np.arange(len(local))[:, None]
-    forest = len(local) != 1  # one row is the tree itself
-    local = local.ravel()
-    for roots, corners in g.block_levels:
-        if forest:
-            roots, corners = roots + shift, (corners.ravel() + shift).reshape(-1, 3)
-        q = local[corners]
-        t = _K4_BY_CLASS[_k4_class(q)]
-        local[roots.ravel()] += (q - t).sum(axis=1)
-        local[corners] = t
-    return (local.reshape(-1, n + 1)[:, :-1] + glue).reshape(heights.shape)
+    rows = heights.reshape(-1, len(glue))
+    local = np.empty((len(rows), len(sweep.order)), dtype=np.int64)
+    local[:, :-1] = rows.take(sweep.order[:-1], axis=1)
+    # the non-sink roots, which carry the glue, sit just before the sink
+    start = len(sweep.order) - len(sweep.corners)
+    local[:, start:-1] -= 3
+    codes = np.empty((len(rows), len(sweep.corners)), dtype=np.int64)
+    bounds = sweep.offsets.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        q = local.take(sweep.corners[a:b], axis=1)
+        q &= 3
+        code = np.matmul(q, _CODE_WEIGHTS, out=codes[:, a:b])
+        local[:, start + a : start + b] += _K4_CARRY.take(code)
+    triples = _K4_BY_CODE.take(codes, axis=0).reshape(len(rows), -1)
+    return (triples.take(sweep.slot, axis=1) + glue).reshape(heights.shape)
 
 
 def stabilize(g: BlockTree, c: SandpileConfig) -> tuple[SandpileConfig, AvalancheReport]:
@@ -327,7 +350,8 @@ def stabilize_many(
     particles it sends to the sink, sum(h) - sum(r), are a count, so the
     solve is skipped when sum(h) < sum(r).  It needs heights of at least
     -2^40: with a positive mass of at most 2^40 and sum(h - r) >= 0,
-    sum(|h - r|) <= 2 * 2^40, so |4u| <= depth * 2^42 fits in int64 (see
+    sum(|h - r|) <= 2 * 2^40, so |4u| <= depth * 2^42 and every partial sum
+    of the solve, at most depth * 2^43, fit in int64 (see
     _solve_times_four).
 
     Otherwise the row runs the rounds from its own heights, together with

@@ -22,7 +22,8 @@ from vicsek_sandpile import (
     group_add,
     merge,
 )
-from vicsek_sandpile.sandpile import _chain_volume, _glue
+from vicsek_sandpile.fractal_graph import BlockTree
+from vicsek_sandpile.sandpile import _K4_BY_CLASS, _chain_volume, _glue, _k4_class
 
 
 def nx_graph(g: VicsekGraph) -> nx.Graph:
@@ -116,6 +117,33 @@ def random_order_stabilize(g: VicsekGraph, c: SandpileConfig, rng: np.random.Gen
             else:
                 heights[w] += 1
     return SandpileConfig(heights), odometer, sink_particles
+
+
+def random_subset_stabilize(g: VicsekGraph, c: SandpileConfig, rng: np.random.Generator):
+    """Stabilize by firing, at each step, a random non-empty subset of the
+    unstable vertices, each once.  A step draws its inclusion probability p
+    uniformly, then takes each unstable vertex with probability p; an empty
+    draw fires one uniformly chosen unstable vertex instead.  Every firing
+    is legal, and every subset, singletons included, has positive
+    probability, so every single-toppling order keeps positive probability.
+
+    Returns (stable SandpileConfig, odometer array, particles at the sink).
+    """
+    deg, adj = g.degrees[:-1], g.nonsink_adjacency
+    heights = c.heights.copy()
+    odometer = np.zeros_like(heights)
+    while True:
+        unstable = heights >= deg
+        if not unstable.any():
+            break
+        fire = unstable & (rng.random(len(heights)) < rng.random())
+        if not fire.any():
+            fire[rng.choice(np.flatnonzero(unstable))] = True
+        fire = fire.astype(np.int64)
+        heights -= fire * deg
+        heights += adj.dot(fire)
+        odometer += fire
+    return SandpileConfig(heights), odometer, int(g.sink_degrees @ odometer)
 
 
 def apply_laplacian(g: VicsekGraph, u: np.ndarray) -> np.ndarray:
@@ -543,3 +571,25 @@ def burning_radius_masses(max_radius: int) -> dict[int, Fraction]:
                     masses[d] += weight * quiet[y]
         law = nxt
     return masses
+
+
+def exact_sum_representative(g: BlockTree, heights: np.ndarray) -> np.ndarray:
+    """The recurrent representative of heights by the leaves-first sweep on
+    exact sums: per block, deepest first, the corner heights as updated from
+    below less the glue are replaced by the recurrent K4 triple of their
+    class, and the whole difference passes to the root.  A stack of rows is
+    swept as one forest: row i is a copy of the tree on slots i(n + 1) to
+    i(n + 1) + n, its sink last."""
+    glue = _glue(g)
+    n = len(glue)
+    local = np.zeros((heights.size // n, n + 1), dtype=np.int64)
+    local[:, :-1] = heights.reshape(-1, n) - glue
+    shift = (n + 1) * np.arange(len(local))[:, None]
+    local = local.ravel()
+    for roots, corners in g.block_levels:
+        roots, corners = roots + shift, (corners.ravel() + shift).reshape(-1, 3)
+        q = local[corners]
+        t = _K4_BY_CLASS[_k4_class(q)]
+        local[roots.ravel()] += (q - t).sum(axis=1)
+        local[corners] = t
+    return (local.reshape(-1, n + 1)[:, :-1] + glue).reshape(heights.shape)

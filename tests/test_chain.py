@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +30,7 @@ from vicsek_sandpile.chain import (
     TransitionMatrix,
     _k4_walk_table,
     _run_sandpile_trials,
+    default_workers,
 )
 from vicsek_sandpile.fractal_graph import has_ternary_digit_two
 from vicsek_sandpile.sandpile import _K4_RECURRENT
@@ -516,6 +518,17 @@ def test_monte_carlo_counts_independent_of_workers():
         assert one == two == three, mode
     # no more workers run than there are trial blocks, and the estimate says so
     assert monte_carlo_stabilization("sandpile", 1, 10, rng=7, workers=4).workers == 1
+
+
+def test_default_workers_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 5}, raising=False)
+    assert default_workers() == 2
+    # without an affinity call, the machine's count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_workers() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_workers() == 1
 
 
 def test_monte_carlo_validation():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vicsek_sandpile import CapacityError, radius_pmf
+from vicsek_sandpile import CapacityError, build, radius_pmf
 from vicsek_sandpile.cli import (
     EXIT_CAPACITY,
     EXIT_USAGE,
@@ -28,6 +28,25 @@ def test_graph_command(capsys):
     assert data["vertices"] == 76
     assert data["edges"] == 150
     assert data["degree_histogram"] == {"3": 52, "6": 24}
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_graph_output_matches_a_count_over_every_vertex(capsys, level):
+    """The degree histogram prints byte for byte what counting the degrees
+    vertex by vertex, keys sorted as strings, prints."""
+    g = build(level)
+    histogram: dict[str, int] = {}
+    for d in g.degrees.tolist():
+        histogram[str(d)] = histogram.get(str(d), 0) + 1
+    payload = {
+        "level": level,
+        "vertices": g.num_vertices,
+        "edges": g.num_edges,
+        "sink": list(g.sink),
+        "degree_histogram": dict(sorted(histogram.items())),
+    }
+    _, out, _ = run(capsys, "graph", "--level", str(level))
+    assert out == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def test_graph_level0(capsys):

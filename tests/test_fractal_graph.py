@@ -120,6 +120,28 @@ def test_vertex_tree_preorder(level):
     for block, root in zip(g.blocks.tolist(), g.block_roots.tolist()):
         corners = [v for v in block if v != root]
         assert all(span[c] == subtree[corners].sum() for c in corners)
+    assert np.all(np.diff(tree.stop[tree.by_stop]) >= 0)
+    assert tree.closed.tolist() == [int((tree.stop <= p).sum()) for p in range(n)]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_sweep_layout_is_depth_major(level):
+    """The sweep's numbering is a permutation of the vertices, sink last, in
+    which the roots of block_levels' blocks come last, in their order, so
+    each depth's roots are one slice; the corners and their slots map back
+    to the vertices.  It is built on first use, not with the tree."""
+    g = BlockTree(build(level).blocks)
+    assert "sweep_layout" not in vars(g)
+    sweep = g.sweep_layout
+    n = g.num_vertices
+    assert sorted(sweep.order.tolist()) == list(range(n))
+    roots = np.concatenate([roots for roots, _ in g.block_levels])
+    corners = np.concatenate([corners for _, corners in g.block_levels])
+    assert np.array_equal(sweep.order[n - len(g.blocks) :], roots)
+    assert roots[-1] == g.sink_index
+    assert np.array_equal(sweep.order[sweep.corners], corners)
+    assert np.array_equal(np.diff(sweep.offsets), [len(roots) for roots, _ in g.block_levels])
+    assert np.array_equal(corners.ravel()[sweep.slot], np.arange(n - 1))
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])

@@ -38,9 +38,11 @@ from .oracles import (
     chain_config,
     chain_queue_flow,
     exact_least_action_stabilize,
+    exact_sum_representative,
     glued_chain,
     nested_volume_counts,
     random_order_stabilize,
+    random_subset_stabilize,
     round_stabilize,
 )
 
@@ -145,17 +147,29 @@ def test_stabilization_commutes_with_addition(g1, rng):
 
 
 def test_abelian_order_independence(g2, rng):
-    # engine (deterministic rounds) vs. two independent random legal orders
+    # the engine vs. two independent random legal orders, each firing a
+    # random subset of the unstable vertices per step
     for _ in range(100):
         c = SandpileConfig(rng.integers(0, 9, size=g2.num_vertices - 1))
         engine_out, engine_rep = stabilize(g2, c)
         for seed in rng.integers(0, 2**63, size=2):
-            ref_out, ref_odo, ref_sink = random_order_stabilize(
+            ref_out, ref_odo, ref_sink = random_subset_stabilize(
                 g2, c, np.random.default_rng(seed)
             )
             assert ref_out == engine_out
             assert np.array_equal(ref_odo, engine_rep.odometer)
             assert ref_sink == engine_rep.sink_particles
+
+
+def test_random_subset_oracle_matches_random_order(g1, rng):
+    """At level 1 the random-subset order and the one-toppling-at-a-time
+    random order give the same result, odometer and sink count."""
+    for _ in range(30):
+        c = SandpileConfig(rng.integers(0, 12, size=g1.num_vertices - 1))
+        subset = random_subset_stabilize(g1, c, rng)
+        single = random_order_stabilize(g1, c, rng)
+        assert subset[0] == single[0] and subset[2] == single[2]
+        assert np.array_equal(subset[1], single[1])
 
 
 # random_order_stabilize takes one Python step per toppling; above this many
@@ -408,23 +422,61 @@ def test_non_recurrent_result_takes_rounds(level):
     assert rep.rounds > 0
 
 
-@pytest.mark.parametrize("level", range(6))
-def test_solve_times_four_is_exact(level):
+@st.composite
+def sweep_inputs(draw):
+    """A block tree, a Vicsek graph of level 0-5 or a diagonal chain volume
+    of at most 40 blocks, and heights for it: one row or a stack of 1-12
+    rows, drawn from a small range or within 8 of -2^40 and 2^40."""
+    if draw(st.booleans()):
+        g = build(draw(st.integers(0, 5)))
+    else:
+        g = _chain_volume(draw(st.integers(1, 40)))
+    rows = draw(st.none() | st.integers(1, 12))
+    shape = g.num_vertices - 1 if rows is None else (rows, g.num_vertices - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        heights = rng.integers(-8, 9, size=shape)
+    else:
+        heights = rng.choice([-(2**40), 2**40], size=shape) + rng.integers(-8, 9, size=shape)
+    return g, heights
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_inputs())
+def test_residue_sweep_matches_the_exact_sum_sweep(case):
+    """The depth-major sweep on residues mod 4 returns, bit for bit, what
+    the leaves-first sweep on exact sums returns, for one row and for
+    stacks, on Vicsek graphs and chain volumes."""
+    g, heights = case
+    assert np.array_equal(
+        _recurrent_representative(g, heights), exact_sum_representative(g, heights)
+    )
+
+
+SOLVE_GRAPHS = [pytest.param(("level", i), id=str(i)) for i in range(6)]
+SOLVE_GRAPHS += [pytest.param(("chain", m), id=f"chain-{m}") for m in (1, 2, 13, 40)]
+
+
+@pytest.mark.parametrize("graph", SOLVE_GRAPHS)
+def test_solve_times_four_is_exact(graph):
     """4 L^-1 is an integer matrix, and the prefix sums over the vertex tree
-    apply it exactly: L solve(b) equals 4b in int64, for unit vectors and
-    large b."""
-    g = build(level)
+    apply it exactly: L solve(b) equals 4b in int64, for unit vectors of
+    either sign, mixed-sign rows and large b, on Vicsek graphs and chain
+    volumes, one row at a time and as one stack."""
+    kind, size = graph
+    g = build(size) if kind == "level" else _chain_volume(size)
     n = g.num_vertices - 1
-    rng = np.random.default_rng(level)
+    rng = np.random.default_rng(size)
     picks = rng.choice(n, size=min(n, 20), replace=False)
-    cases = [np.eye(1, n, i, dtype=np.int64)[0] for i in picks]
-    cases += [np.ones(n, dtype=np.int64), rng.integers(-(2**40), 2**40, size=n)]
+    cases = [np.eye(1, n, i, dtype=np.int64)[0] * (-1) ** i for i in picks]
+    cases += [np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)]
+    cases += [rng.integers(-3, 4, size=n), rng.integers(-(2**40), 2**40, size=n)]
     for b in cases:
         assert np.array_equal(apply_laplacian(g, _solve_times_four(g, b)), 4 * b)
     stack = np.stack(cases)
     assert np.array_equal(_solve_times_four(g, stack), [_solve_times_four(g, b) for b in cases])
     assert np.array_equal(apply_laplacian(g, _solve_times_four(g, stack)), 4 * stack)
-    if level <= 2:
+    if n <= 120:
         dense = np.diag(g.degrees[:-1]) - g.nonsink_adjacency.toarray()
         columns = np.stack([_solve_times_four(g, e) for e in np.eye(n, dtype=np.int64)], axis=1)
         assert np.allclose(columns, 4 * np.linalg.inv(dense), rtol=0, atol=1e-9)
