@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .critical_group import SingularMatrixError
-from .fractal_graph import build, has_ternary_digit_two, kappa
+from .fractal_graph import _check_level, build, has_ternary_digit_two, kappa
 from .recurrence import enumerate_recurrent_k4
 from .sandpile import add_particles, stabilize
 
@@ -440,6 +440,9 @@ def _run_sandpile_trials(trials: int, level: int, rng: np.random.Generator) -> t
     states = np.ones(trials, dtype=np.int64)  # the added particle at the origin
     for blocks in picks.T:
         states = walk[blocks, states]
+        # 0 and 4 are fixed points, and every draw is made above
+        if not (states & 3).any():
+            break
     stabilized = int(np.count_nonzero(states == 0))
     exploded = int(np.count_nonzero(states == 4))
     return stabilized, exploded, trials - stabilized - exploded
@@ -465,11 +468,11 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
     reflector lemma (module docstring) stabilized volumes return every
     particle the next cutpoint sends them, so the flow is the walk
     X_{i+1} = T[block_{i+1}, X_i] from X_0 = 1 over the drawn blocks, one
-    gather per block for all trials at once.  The trials are
-    split into fixed-size blocks, each with its own child random stream;
-    workers share out the blocks, and the result does not depend on how many
-    there are.  No more workers run than there are blocks, and the estimate
-    records how many did.
+    gather per block for all trials at once, until all are at 0 or 4.  The
+    trials are split into fixed-size blocks, each with its own child random
+    stream; workers share out the blocks, and the result does not depend on
+    how many there are.  No more workers run than there are blocks, and the
+    estimate records how many did.
     """
     if mode not in ("chain", "sandpile"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -478,7 +481,7 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
     if level < 0:
         raise ValueError("level must be non-negative")
     if mode == "sandpile":
-        build(level)  # enforces the build cap
+        _check_level(level)
     rng = np.random.default_rng(rng)
 
     size = _BLOCK_TRIALS[mode]

@@ -36,7 +36,7 @@ from .chain import (
     transition_matrix,
 )
 from .critical_group import group_structure
-from .fractal_graph import CapacityError, VicsekGraph, build, level_cap
+from .fractal_graph import CapacityError, VicsekGraph, _check_level, build
 from .identity import VerificationError, identity, verify_identity
 from .sandpile import SandpileConfig
 
@@ -73,9 +73,7 @@ def config_from_json(data: dict) -> tuple[int, SandpileConfig]:
     level = data["level"]
     if type(level) is not int or level < 0:
         raise ValueError(f"level must be a non-negative integer, got {level!r}")
-    cap = level_cap()
-    if level > cap:
-        raise CapacityError(f"level {level} exceeds the build cap {cap}")
+    _check_level(level)  # before 3 * 5**level below
     if data.get("order") != "lex-xy":
         raise ValueError(f"unsupported height order {data.get('order')!r}")
     heights = data["heights"]
@@ -139,10 +137,6 @@ def _emit_json(payload) -> None:
     _emit(json.dumps(payload, indent=None, separators=(",", ":")))
 
 
-def _rows_csv(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(row) for row in rows)
-
-
 def cmd_graph(args) -> int:
     g = build(args.level)
     degrees, counts = np.unique(g.degrees, return_counts=True)
@@ -160,48 +154,27 @@ def cmd_graph(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    """Each subcommand's cells are made once, then laid out by --format."""
     P = transition_matrix()
     if args.subcommand == "matrix":
         rows = [[frac_str(p) for p in row] for row in P.rows]
-        if args.format == "json":
-            _emit_json({"rows": rows})
-        else:
-            _emit(_rows_csv(rows))
+        record = {"rows": rows}
     elif args.subcommand == "absorb":
-        probs = [frac_str(q) for q in absorption_probabilities(P)]
-        if args.format == "json":
-            _emit_json({"absorption_at_0": probs})
-        else:
-            _emit(",".join(probs))
+        rows = [[frac_str(q) for q in absorption_probabilities(P)]]
+        record = {"absorption_at_0": rows[0]}
     elif args.subcommand == "kstep":
-        dist = k_step_distribution(args.start, args.k, P)
-        vals = [frac_str(q) for q in dist]
-        if args.format == "json":
-            _emit_json({"start": args.start, "k": args.k, "distribution": vals})
-        else:
-            _emit(",".join(vals))
-    elif args.subcommand == "pmf":
+        rows = [[frac_str(q) for q in k_step_distribution(args.start, args.k, P)]]
+        record = {"start": args.start, "k": args.k, "distribution": rows[0]}
+    else:
         table = radius_pmf_table(args.max_n, P)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "pmf": [
-                        {
-                            "n": n,
-                            "numerator": str(q.numerator),
-                            "denominator": str(q.denominator),
-                            "value": float(q),
-                        }
-                        for n, q in table
-                    ]
-                }
-            )
-        else:
-            rows = [
-                [str(n), str(q.numerator), str(q.denominator), repr(float(q))]
-                for n, q in table
-            ]
-            _emit(_rows_csv(rows))
+        cells = [(n, str(q.numerator), str(q.denominator), float(q)) for n, q in table]
+        rows = [[str(n), num, den, repr(value)] for n, num, den, value in cells]
+        keys = ("n", "numerator", "denominator", "value")
+        record = {"pmf": [dict(zip(keys, cell)) for cell in cells]}
+    if args.format == "json":
+        _emit_json(record)
+    else:
+        _emit("\n".join(",".join(row) for row in rows))
     return EXIT_OK
 
 

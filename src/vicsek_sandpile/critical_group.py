@@ -35,13 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractal_graph import BlockTree, Coord, VicsekGraph, build
+from .fractal_graph import BlockTree, Coord, VicsekGraph, _check_level, build
 from .recurrence import is_recurrent, sample_recurrent
 from .sandpile import (
-    _STACK_HEIGHTS,
     SandpileConfig,
     _check_config,
     _k4_class,
+    _stacks,
     add_particles,
     stabilize_many,
 )
@@ -148,11 +148,11 @@ def smith_normal_form(mat) -> InvariantFactors:
 
 def group_structure(level: int) -> InvariantFactors:
     """Invariant factors of the sandpile group at the given level: the K4
-    block's, once per block (see the module docstring).  Every level that
-    ``build`` accepts works."""
-    blocks = len(build(level).blocks)
+    block's, once for each of the 5^level blocks (see the module docstring).
+    Every level the build cap accepts works, and no level graph is built."""
+    _check_level(level)
     block = smith_normal_form(reduced_laplacian(build(0))).factors
-    return InvariantFactors(tuple(sorted(block * blocks)))
+    return InvariantFactors(tuple(sorted(block * 5**level)))
 
 
 def order2_count(level: int) -> int:
@@ -218,12 +218,10 @@ def sink_hit_probability(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng)
+    rows = (add_particles(g, sample_recurrent(g, rng), x, k) for _ in range(samples))
     hits = 0
-    per_stack = max(1, _STACK_HEIGHTS // (g.num_vertices - 1))
-    for start in range(0, samples, per_stack):
-        draws = range(min(per_stack, samples - start))
-        rows = [add_particles(g, sample_recurrent(g, rng), x, k) for _ in draws]
-        hits += sum(report.sink_particles >= 1 for _, report in stabilize_many(g, rows))
+    for stack in _stacks(g, rows):
+        hits += sum(report.sink_particles >= 1 for _, report in stabilize_many(g, stack))
     p = hits / samples
     stderr = float(np.sqrt(max(p * (1 - p), 1e-300) / samples))
     return SinkHitEstimate(

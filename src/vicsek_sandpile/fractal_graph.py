@@ -380,13 +380,18 @@ def _build_uncapped(level: int) -> VicsekGraph:
     return VicsekGraph(level)
 
 
-def build(level: int) -> VicsekGraph:
-    """Construct the level-n Vicsek graph (recursive five-copy union)."""
+def _check_level(level: int) -> None:
+    """The one check of a level against the build cap, graph or no graph."""
     if level < 0:
         raise ValueError(f"level must be non-negative, got {level}")
     cap = level_cap()
     if level > cap:
         raise CapacityError(f"level {level} exceeds the build cap {cap}")
+
+
+def build(level: int) -> VicsekGraph:
+    """Construct the level-n Vicsek graph (recursive five-copy union)."""
+    _check_level(level)
     return _build_uncapped(level)
 
 

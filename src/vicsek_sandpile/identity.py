@@ -34,12 +34,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fractal_graph import Coord, VicsekGraph, build
+from .fractal_graph import Coord, VicsekGraph, _check_level, build
 from .recurrence import is_recurrent, sample_recurrent
 from .sandpile import (
-    _STACK_HEIGHTS,
     SandpileConfig,
     _recurrent_representative,
+    _stacks,
     stabilize,
     stabilize_many,
 )
@@ -129,7 +129,7 @@ def identity(level: int) -> SandpileConfig:
     """Group identity of the level-n sandpile group: the recurrent
     configuration equivalent to the zero heights, computed once per level;
     each call returns a fresh copy."""
-    build(level)  # the build cap applies to cached levels too
+    _check_level(level)  # the build cap applies to cached levels too
     return SandpileConfig(_identity_heights(level))
 
 
@@ -174,16 +174,17 @@ def verify_identity(
     report.clauses["a_recurrent"] = is_recurrent(g, candidate)
     clauses = dict.fromkeys(["b_idempotent", "c_neutral", "d_fourfold_collapse"], True)
     # each row: the clause it checks, its heights, and the result the clause wants
-    rows = [("b_idempotent", candidate + candidate, candidate)]
-    per_stack = max(1, _STACK_HEIGHTS // (g.num_vertices - 1))
-    for i in range(samples):
-        eta = sample_recurrent(g, rng)
-        rows += [("c_neutral", candidate + eta, eta), ("d_fourfold_collapse", eta.scaled(4), candidate)]
-        if len(rows) >= per_stack or i == samples - 1:
-            results = stabilize_many(g, [heights for _, heights, _ in rows])
-            for (name, _, want), (out, _) in zip(rows, results):
-                clauses[name] &= out == want
-            rows = []
+    def rows():
+        yield "b_idempotent", candidate + candidate, candidate
+        for _ in range(samples):
+            eta = sample_recurrent(g, rng)
+            yield "c_neutral", candidate + eta, eta
+            yield "d_fourfold_collapse", eta.scaled(4), candidate
+
+    for stack in _stacks(g, rows()):
+        results = stabilize_many(g, [heights for _, heights, _ in stack])
+        for (name, _, want), (out, _) in zip(stack, results):
+            clauses[name] &= out == want
     report.clauses.update(clauses)
 
     _, rep = stabilize(g, candidate.scaled(4))

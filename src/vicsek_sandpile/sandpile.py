@@ -47,17 +47,18 @@ references the engine is checked against.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from .fractal_graph import BlockTree, Coord, VicsekGraph
 
 _OVERFLOW_LIMIT = np.int64(2) ** 40
-# The sample loops hand stabilize_many at most this many heights per call:
-# enough rows to share each numpy step at small levels, while the engine's
-# arrays stay a few megabytes each at the largest, whatever the sample count.
+# _stacks hands stabilize_many at most this many heights per call: enough
+# rows to share each numpy step at small levels, while the engine's arrays
+# stay a few megabytes each at the largest, whatever the sample count.
 _STACK_HEIGHTS = 2**18
 
 # The 16 recurrent configurations of K4 with one corner as the sink, as
@@ -201,32 +202,32 @@ def is_stable(g: BlockTree, c: SandpileConfig) -> bool:
     return bool(np.all(c.heights < g.degrees[: len(c.heights)]))
 
 
-def topple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> SandpileConfig:
-    """Topple at v unconditionally (illegal topplings are permitted)."""
-    _check_config(g, c)
+def _nonsink_index(g: VicsekGraph, v: Coord, action: str) -> int:
     vi = g.vertex_index(v)
     if vi == g.sink_index:
-        raise ValueError("cannot topple the sink")
+        raise ValueError(f"cannot {action} the sink")
+    return vi
+
+
+def _fire(g: VicsekGraph, c: SandpileConfig, v: Coord, sign: int, action: str) -> SandpileConfig:
+    """Fire v once (sign 1) or take one firing back (sign -1), legal or not."""
+    _check_config(g, c)
+    vi = _nonsink_index(g, v, action)
     out = c.heights.copy()
-    out[vi] -= g.degrees[vi]
-    for w in g.neighbors[vi]:
-        if w != g.sink_index:
-            out[w] += 1
+    out[vi] -= sign * g.degrees[vi]
+    nbrs = g.nbr_indices[g.indptr[vi] : g.indptr[vi + 1]]
+    out[nbrs[nbrs != g.sink_index]] += sign
     return SandpileConfig(out)
+
+
+def topple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> SandpileConfig:
+    """Topple at v unconditionally (illegal topplings are permitted)."""
+    return _fire(g, c, v, 1, "topple")
 
 
 def untopple(g: VicsekGraph, c: SandpileConfig, v: Coord) -> SandpileConfig:
     """Inverse of topple: every neighbor returns one particle to v."""
-    _check_config(g, c)
-    vi = g.vertex_index(v)
-    if vi == g.sink_index:
-        raise ValueError("cannot untopple the sink")
-    out = c.heights.copy()
-    out[vi] += g.degrees[vi]
-    for w in g.neighbors[vi]:
-        if w != g.sink_index:
-            out[w] -= 1
-    return SandpileConfig(out)
+    return _fire(g, c, v, -1, "untopple")
 
 
 def _solve_times_four(g: BlockTree, b: np.ndarray) -> np.ndarray:
@@ -320,6 +321,14 @@ def _recurrent_representative(g: BlockTree, heights: np.ndarray) -> np.ndarray:
     return (triples.take(sweep.slot, axis=1) + glue).reshape(heights.shape)
 
 
+def _stacks(g: BlockTree, rows: Iterable) -> Iterator[list]:
+    """Rows, one per configuration on g, in order and in lists of at most
+    ``_STACK_HEIGHTS`` heights (one row at least), each drawn when asked for."""
+    rows, per_stack = iter(rows), max(1, _STACK_HEIGHTS // (g.num_vertices - 1))
+    while stack := list(islice(rows, per_stack)):
+        yield stack
+
+
 def stabilize(g: BlockTree, c: SandpileConfig) -> tuple[SandpileConfig, AvalancheReport]:
     """Perform legal topplings until stable; returns the stable configuration
     and the avalanche report.  ``stabilize_many`` with one row."""
@@ -408,9 +417,7 @@ def add_particles(g: VicsekGraph, c: SandpileConfig, v: Coord, k: int) -> Sandpi
     _check_config(g, c)
     if k < 0:
         raise ValueError("particle count must be non-negative")
-    vi = g.vertex_index(v)
-    if vi == g.sink_index:
-        raise ValueError("cannot place particles on the sink")
+    vi = _nonsink_index(g, v, "place particles on")
     out = c.heights.copy()
     out[vi] += k
     return SandpileConfig(out)

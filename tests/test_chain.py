@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vicsek_sandpile
+import vicsek_sandpile.fractal_graph as fractal_graph
 from vicsek_sandpile import (
     ChainEvent,
     SandpileConfig,
@@ -32,7 +33,7 @@ from vicsek_sandpile.chain import (
     _run_sandpile_trials,
     default_workers,
 )
-from vicsek_sandpile.fractal_graph import has_ternary_digit_two
+from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV, CapacityError, has_ternary_digit_two
 from vicsek_sandpile.sandpile import _K4_RECURRENT
 
 from .oracles import chain_queue_flow
@@ -536,7 +537,21 @@ def test_monte_carlo_validation():
         monte_carlo_stabilization("nope", 1, 10, rng=0)
     with pytest.raises(ValueError):
         monte_carlo_stabilization("chain", 1, 0, rng=0)
-    from vicsek_sandpile import CapacityError
-
     with pytest.raises(CapacityError):
         monte_carlo_stabilization("sandpile", 99, 10, rng=0)
+
+
+def test_sandpile_monte_carlo_builds_no_level_graph(monkeypatch):
+    """Sandpile mode walks the K4 block law and never reads the level graph,
+    so it checks the level against the cap without building it."""
+    _k4_walk_table()  # builds level 0 once, before the builds are watched
+    built = []
+    monkeypatch.setattr(fractal_graph, "_build_uncapped", built.append)
+    monkeypatch.setenv(LEVEL_CAP_ENV, "7")
+    est = monte_carlo_stabilization("sandpile", 7, 100, rng=5)
+    assert est.stabilized + est.exploded == 100 and built == []
+    with pytest.raises(CapacityError, match="level 8 exceeds the build cap 7"):
+        monte_carlo_stabilization("sandpile", 8, 10, rng=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        monte_carlo_stabilization("sandpile", -1, 10, rng=0)
+    assert built == []

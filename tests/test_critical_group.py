@@ -22,7 +22,7 @@ from vicsek_sandpile import (
     sink_hit_probability,
     smith_normal_form,
 )
-import vicsek_sandpile.critical_group as critical_group
+import vicsek_sandpile.sandpile as sandpile
 from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV
 from vicsek_sandpile.identity import identity
 from vicsek_sandpile.sandpile import _chain_volume, _recurrent_representative
@@ -248,7 +248,7 @@ def test_sink_hit_same_seed_same_hits(x, k, seed, hits, stack_heights, monkeypat
     were still stabilized one at a time, with the default stacks and with
     stacks of 18 level-3 rows, the last one short."""
     if stack_heights:
-        monkeypatch.setattr(critical_group, "_STACK_HEIGHTS", stack_heights)
+        monkeypatch.setattr(sandpile, "_STACK_HEIGHTS", stack_heights)
     assert sink_hit_probability(build(3), x, k, samples=64, rng=seed).hits == hits
 
 

@@ -22,6 +22,7 @@ from .oracles import merge_identity
 
 # the package's `identity` attribute is the function, so fetch the module
 identity_module = importlib.import_module("vicsek_sandpile.identity")
+sandpile_module = importlib.import_module("vicsek_sandpile.sandpile")
 
 
 def all_two(level):
@@ -212,9 +213,9 @@ def test_verify_identity_stack_is_read_off(g2, monkeypatch):
 def test_verify_identity_same_seed_same_report(g2, monkeypatch, stack_heights):
     """Same seed, same outcome: values recorded when the samples were still
     stabilized one at a time, with the default stacks and with stacks of
-    four or five level-2 rows, the last one short."""
+    four level-2 rows, the last one short."""
     if stack_heights:
-        monkeypatch.setattr(identity_module, "_STACK_HEIGHTS", stack_heights)
+        monkeypatch.setattr(sandpile_module, "_STACK_HEIGHTS", stack_heights)
     report = verify_identity(g2, identity(2), 5, rng=1)
     assert all(report.clauses.values()) and len(report.clauses) == 5
     assert report.sink_particles_mod4 == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vicsek_sandpile.sandpile as sandpile_module
 from vicsek_sandpile import (
     AvalancheReport,
     SandpileConfig,
@@ -29,6 +30,7 @@ from vicsek_sandpile.sandpile import (
     _glue,
     _recurrent_representative,
     _solve_times_four,
+    _stacks,
 )
 
 from .oracles import (
@@ -70,10 +72,38 @@ def test_topple_twice_is_double(g0):
 
 def test_topple_errors(g0):
     c = SandpileConfig([0, 0, 0])
-    with pytest.raises(ValueError):
-        topple(g0, c, (1, 1))  # the sink
+    with pytest.raises(ValueError, match="cannot topple the sink"):
+        topple(g0, c, (1, 1))
+    with pytest.raises(ValueError, match="cannot untopple the sink"):
+        untopple(g0, c, (1, 1))
+    with pytest.raises(ValueError, match="cannot place particles on the sink"):
+        add_particles(g0, c, (1, 1), 1)
     with pytest.raises(ValueError):
         topple(g0, c, (5, 5))
+
+
+def test_stacks_are_bounded_and_drawn_as_asked(monkeypatch):
+    """``_stacks`` takes any iterable, here a generator that logs its draws,
+    and draws no row before the stack holding it is asked for."""
+    drawn = []
+
+    def rows(count):
+        for i in range(count):
+            drawn.append(i)
+            yield i
+
+    monkeypatch.setattr(sandpile_module, "_STACK_HEIGHTS", 300)
+    stacks = _stacks(build(2), rows(11))  # 75 heights a row: 4 rows a stack
+    assert drawn == []
+    assert next(stacks) == [0, 1, 2, 3] and drawn == [0, 1, 2, 3]
+    assert next(stacks) == [4, 5, 6, 7] and len(drawn) == 8
+    assert list(stacks) == [[8, 9, 10]]
+    monkeypatch.setattr(sandpile_module, "_STACK_HEIGHTS", 7000)
+    assert [len(s) for s in _stacks(build(3), rows(64))] == [18, 18, 18, 10]
+    # a row of more heights than the bound still goes, in a stack of its own
+    monkeypatch.setattr(sandpile_module, "_STACK_HEIGHTS", 10)
+    assert list(_stacks(build(2), range(3))) == [[0], [1], [2]]
+    assert list(_stacks(build(2), [])) == []
 
 
 def test_stabilize_k4_example(g0):

@@ -55,6 +55,44 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+class _LevelCapCalls(ast.NodeVisitor):
+    """The innermost function around each call of ``level_cap()``, None for
+    a call at module level."""
+
+    def __init__(self):
+        self.scopes, self.callers = [None], []
+
+    def visit_FunctionDef(self, node):
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "level_cap":
+            self.callers.append(self.scopes[-1])
+        self.generic_visit(node)
+
+
+def test_capacity_rules_have_one_owner():
+    """The engine's stack size and the level cap are each worked out in one
+    place: only ``sandpile`` names ``_STACK_HEIGHTS`` (in ``_stacks``), and
+    only ``fractal_graph._check_level`` calls ``level_cap()``."""
+    stack_named, cap_called = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = {
+            getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            for n in ast.walk(tree)
+        }
+        if "_STACK_HEIGHTS" in names:
+            stack_named.add(path.stem)
+        calls = _LevelCapCalls()
+        calls.visit(tree)
+        cap_called.update((path.stem, caller) for caller in calls.callers)
+    assert stack_named == {"sandpile"}
+    assert cap_called == {("fractal_graph", "_check_level")}
+
+
 # Run in a fresh interpreter: every cold command path, then a read-off
 # stabilization, must leave scipy unimported; a stabilization whose result
 # is not recurrent then imports it for the rounds.
