@@ -36,15 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractal_graph import BlockTree, Coord, VicsekGraph, _check_level, build
-from .recurrence import is_recurrent, sample_recurrent
-from .sandpile import (
-    SandpileConfig,
-    _check_config,
-    _k4_class,
-    _stacks,
-    add_particles,
-    stabilize_many,
-)
+from .recurrence import _block_picks, is_recurrent
+from .sandpile import _K4_WALK, SandpileConfig, _check_config, _k4_class
 
 
 class SingularMatrixError(ArithmeticError):
@@ -202,26 +195,65 @@ class SinkHitEstimate:
     stderr: float
 
 
+def _geodesic_walk(g: VicsekGraph, x: Coord) -> tuple[np.ndarray, list]:
+    """The blocks of x's geodesic, and their ``_K4_WALK`` rows by entry slot."""
+    blocks, entry = np.divmod(g.path_to_sink(g.vertex_index(x)), 3)
+    walk = _K4_WALK.tolist()
+    return blocks, [walk[e] for e in entry.tolist()]
+
+
+def _sink_count(steps: list, picks: list, k: int) -> int:
+    """a_d for k particles at x, given ``_geodesic_walk`` rows and the
+    blocks' picks (see ``sink_hit_probability``)."""
+    a = k
+    for walk, p in zip(steps, picks):
+        r = a & 3
+        a += walk[p][r] - r
+        if a <= 0:
+            if a < 0:
+                raise RuntimeError("a geodesic block passed on a negative carry")
+            break  # a block that receives nothing passes nothing on
+    return a
+
+
 def sink_hit_probability(
     g: VicsekGraph, x: Coord, k: int, samples: int, rng
 ) -> SinkHitEstimate:
-    """Sample uniform recurrent configurations, add k particles at x, and
+    """Sample uniform recurrent configurations eta, add k particles at x, and
     record how often stabilization delivers at least one particle to the
-    sink.  With k = 4 this happens every time, because four particles at any
-    vertex act as the group identity and their stabilization sweeps the whole
-    graph.  The samples are stabilized together, in stacks of a bounded
-    number of heights."""
+    sink; for k >= 4 always, as four particles at a vertex act as the group
+    identity.
+
+    Nothing is stabilized.  Let B_1 .. B_d be the blocks holding x and its
+    ancestors as non-root corners, B_i entered at slot e_i and holding q_i.
+    From a_0 = k, B_i passes a_i = a_(i-1) + |q_i| - |t_i| on, t_i the
+    recurrent triple of q_i + (a_(i-1) mod 4) e_(e_i) (``_K4_WALK``; 4 Z^3
+    lies in the K4 lattice).  The sink gets a_d particles:
+
+    - eta + k delta_x, recurrent plus particles, stabilizes to the recurrent
+      member r of its class and sends |eta| + k - |r| to the sink.
+    - Adding k delta_x changes subtree sums only at x and its ancestors, so
+      only the B_i change class (``group_coordinates``).  In the exact-carry
+      representative sweep every other block keeps its triple and passes
+      nothing, so B_i gets a_(i-1) at e_i, becomes t_i and passes a_i:
+      |eta| + k - |r| = k + sum(|q_i| - |t_i|) = a_d.
+    - a_i >= 0: B_i alone, its root the sink, stabilizes q_i plus a_(i-1)
+      particles to t_i and sends a_i on.  A negative carry raises
+      ``RuntimeError``.
+
+    Picks are drawn per sample as ``sample_recurrent`` draws them, so a seed
+    gives the hits of stabilizing those samples."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if x == g.sink:
         raise ValueError("x must differ from the sink")
     if samples < 1:
         raise ValueError("need at least one sample")
+    blocks, steps = _geodesic_walk(g, x)
     rng = np.random.default_rng(rng)
-    rows = (add_particles(g, sample_recurrent(g, rng), x, k) for _ in range(samples))
-    hits = 0
-    for stack in _stacks(g, rows):
-        hits += sum(report.sink_particles >= 1 for _, report in stabilize_many(g, stack))
+    hits = sum(
+        _sink_count(steps, _block_picks(g, rng)[blocks].tolist(), k) >= 1 for _ in range(samples)
+    )
     p = hits / samples
     stderr = float(np.sqrt(max(p * (1 - p), 1e-300) / samples))
     return SinkHitEstimate(

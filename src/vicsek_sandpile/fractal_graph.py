@@ -242,6 +242,20 @@ class BlockTree:
         a non-root corner of exactly one block."""
         return self.blocks[self.blocks != self.block_roots[:, None]].reshape(-1, 3)
 
+    @cached_property
+    def corner_slots(self) -> np.ndarray:
+        """Each non-sink vertex's index in ``block_corners.ravel()``."""
+        out = np.empty(self.num_vertices - 1, dtype=np.int64)
+        out[self.block_corners.ravel()] = np.arange(self.block_corners.size)
+        return out
+
+    def path_to_sink(self, i: int) -> np.ndarray:
+        """The ``corner_slots`` of i and its ancestors, i first: i's geodesic
+        blocks.  The ancestors are the preorder positions a <= p whose
+        subtree has not closed by i's position p."""
+        tree, p = self.vertex_tree, self._position(i)
+        return self.corner_slots[tree.order[np.flatnonzero(tree.stop[: p + 1] > p)[::-1]]]
+
     @property
     def block_levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """The blocks grouped by the depth of their root in the block tree,
@@ -430,12 +444,8 @@ def geodesic_to_sink(g: VicsekGraph, x: Coord) -> list[Coord]:
     """The shortest path from x to the sink.  It is unique: a non-sink vertex
     is a non-root corner of exactly one block, every path from it to the sink
     passes that block's root, and the root is its neighbour."""
-    parent = np.empty(g.num_vertices, dtype=np.int64)
-    parent[g.block_corners] = g.block_roots[:, None]
-    path = [g.vertex_index(x)]
-    while path[-1] != g.sink_index:
-        path.append(int(parent[path[-1]]))
-    return [g.vertices[i] for i in path]
+    i = g.vertex_index(x)
+    return [g.vertices[v] for v in [i, *g.block_roots[g.path_to_sink(i) // 3].tolist()]]
 
 
 def descendants(g: VicsekGraph, x: Coord) -> set[Coord]:

@@ -212,13 +212,15 @@ def wilson_ust(g: VicsekGraph, rng) -> SpanningTree:
     return SpanningTree(parent=parent, root=root)
 
 
+def _block_picks(g: BlockTree, rng: np.random.Generator) -> np.ndarray:
+    """One uniform row of ``_K4_RECURRENT`` per block: one sample's draws."""
+    return rng.integers(0, len(_K4_RECURRENT), size=len(g.blocks))
+
+
 def sample_recurrent(g: BlockTree, rng) -> SandpileConfig:
     """Exactly uniform sample from the recurrent configurations: one uniform
     recurrent K4 configuration per block on its three non-root corners (in
     canonical order), plus three particles at every non-sink block root."""
-    rng = np.random.default_rng(rng)
     heights = _glue(g)
-    heights[g.block_corners] += _K4_RECURRENT[
-        rng.integers(0, len(_K4_RECURRENT), size=len(g.blocks))
-    ]
+    heights[g.block_corners] += _K4_RECURRENT[_block_picks(g, np.random.default_rng(rng))]
     return SandpileConfig(heights)

@@ -89,6 +89,11 @@ _CODE_WEIGHTS = np.array([16, 4, 1], dtype=np.int64)
 _RESIDUES = np.arange(64)[:, None] // _CODE_WEIGHTS % 4
 _K4_BY_CODE = _K4_BY_CLASS[_k4_class(_RESIDUES)]
 _K4_CARRY = (_RESIDUES - _K4_BY_CODE).sum(axis=1)
+# _K4_WALK[e, p, r] = r + |q| - |t|: what a block holding q = _K4_RECURRENT[p]
+# passes to its root when r enter at slot e, t the recurrent triple of q + r e_e.
+_ENTERING = _K4_RECURRENT[:, None] + np.arange(4)[:, None] * np.eye(3, dtype=np.int64)[:, None, None]
+_K4_WALK = _ENTERING.sum(axis=-1) - _K4_BY_CLASS[_k4_class(_ENTERING)].sum(axis=-1)
+_K4_WALK.flags.writeable = False
 
 
 class SandpileConfig:

@@ -17,13 +17,16 @@ from vicsek_sandpile import (
     MergeSpec,
     SandpileConfig,
     VicsekGraph,
+    add_particles,
     build,
     enumerate_recurrent_k4,
     group_add,
     merge,
+    sample_recurrent,
+    stabilize_many,
 )
 from vicsek_sandpile.fractal_graph import BlockTree
-from vicsek_sandpile.sandpile import _K4_BY_CLASS, _chain_volume, _glue, _k4_class
+from vicsek_sandpile.sandpile import _K4_BY_CLASS, _chain_volume, _glue, _k4_class, _stacks
 
 
 def nx_graph(g: VicsekGraph) -> nx.Graph:
@@ -593,3 +596,17 @@ def exact_sum_representative(g: BlockTree, heights: np.ndarray) -> np.ndarray:
         local[roots.ravel()] += (q - t).sum(axis=1)
         local[corners] = t
     return (local.reshape(-1, n + 1)[:, :-1] + glue).reshape(heights.shape)
+
+
+def engine_sink_hits(g: VicsekGraph, x, k: int, samples: int, rng) -> int:
+    """How many of ``samples`` uniform recurrent configurations plus k
+    particles at x send at least one particle to the sink, each stabilized
+    by the engine: ``sample_recurrent`` draws the samples from one stream,
+    and ``stabilize_many`` takes them in ``_stacks``."""
+    rng = np.random.default_rng(rng)
+    rows = (add_particles(g, sample_recurrent(g, rng), x, k) for _ in range(samples))
+    return sum(
+        report.sink_particles >= 1
+        for stack in _stacks(g, rows)
+        for _, report in stabilize_many(g, stack)
+    )

@@ -1,4 +1,6 @@
 from collections import Counter
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,11 +25,13 @@ from vicsek_sandpile import (
     smith_normal_form,
 )
 import vicsek_sandpile.sandpile as sandpile
+from vicsek_sandpile.chain import _k4_walk_table, transition_matrix
+from vicsek_sandpile.critical_group import _geodesic_walk, _sink_count
 from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV
 from vicsek_sandpile.identity import identity
-from vicsek_sandpile.sandpile import _chain_volume, _recurrent_representative
+from vicsek_sandpile.sandpile import _K4_WALK, _chain_volume, _recurrent_representative
 
-from .oracles import cofactor_determinant, doubling_order
+from .oracles import cofactor_determinant, doubling_order, engine_sink_hits
 
 
 def test_reduced_laplacian_k4(g0):
@@ -250,6 +254,53 @@ def test_sink_hit_same_seed_same_hits(x, k, seed, hits, stack_heights, monkeypat
     if stack_heights:
         monkeypatch.setattr(sandpile, "_STACK_HEIGHTS", stack_heights)
     assert sink_hit_probability(build(3), x, k, samples=64, rng=seed).hits == hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.integers(0, 3),
+    pick=st.integers(0, 10**6),
+    k=st.integers(1, 9),
+    samples=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sink_hit_walk_matches_engine(level, pick, k, samples, seed):
+    """The geodesic walk counts the hits the engine finds on the same draws,
+    at any non-sink vertex; k above 4 takes the walk through its mod-4 wrap."""
+    g = build(level)
+    x = g.vertices[pick % (g.num_vertices - 1)]
+    got = sink_hit_probability(g, x, k, samples=samples, rng=seed).hits
+    assert got == engine_sink_hits(g, x, k, samples, seed)
+
+
+def _entry_law(slot: int, x: int) -> tuple[Fraction, ...]:
+    """The law over the 16 picks of what a block entered at ``slot`` by x
+    particles passes on, as the walk reads it: 4 (x // 4) + _K4_WALK[..., x % 4]."""
+    counts = np.bincount(4 * (x // 4) + _K4_WALK[slot, :, x % 4], minlength=5)
+    return tuple(Fraction(int(c), 16) for c in counts)
+
+
+def test_walk_table_is_the_chain_law():
+    """Averaged over the 16 picks, the table is the chain's transition matrix
+    from every entry slot, and from slot 0 it is the engine-run block table."""
+    for slot in range(3):
+        assert [_entry_law(slot, x) for x in range(5)] == list(transition_matrix().rows)
+    walk = _k4_walk_table()
+    assert np.array_equal(_K4_WALK[0], walk[:, :4]) and (walk[:, 4] == 4).all()
+
+
+def test_walk_law_is_a_chain_power_at_every_level1_vertex(g1):
+    """Over all 16^d picks of the d <= 3 blocks on the geodesic of each
+    level-1 vertex, the walk's sink count for k = 1..4 has law e_k P^d."""
+    depth = g1.distance_to_sink()
+    for x in g1.vertices[:-1]:
+        _, steps = _geodesic_walk(g1, x)
+        d = len(steps)
+        assert d == depth[g1.vertex_index(x)] and 1 <= d <= 3
+        for k in range(1, 5):
+            counts = Counter(_sink_count(steps, picks, k) for picks in product(range(16), repeat=d))
+            law = tuple(Fraction(counts[a], 16**d) for a in range(5))
+            assert sum(law) == 1 and law == k_step_distribution(k, d), (x, k)
 
 
 def test_sink_hit_validation(g1, rng):

@@ -271,6 +271,23 @@ def test_geodesic_unique_and_monotone():
             assert all(b in g.neighbors_of(a) for a, b in zip(path, path[1:]))
 
 
+def test_path_to_sink_reads_the_geodesic_blocks():
+    """path_to_sink lists, per step of the geodesic, the block entered and
+    the slot of its corners row that the step leaves from; corner_slots
+    inverts block_corners."""
+    for level in (0, 1, 2, 3):
+        g = build(level)
+        assert (g.block_corners.ravel()[g.corner_slots] == np.arange(g.num_vertices - 1)).all()
+        for v in g.vertices[:-1]:
+            i, path = g.vertex_index(v), g.path_to_sink(g.vertex_index(v))
+            walk = [g.vertex_index(w) for w in geodesic_to_sink(g, v)]
+            assert len(path) == g.distance_to_sink()[i] == len(walk) - 1
+            assert g.block_corners.ravel()[path].tolist() == walk[:-1]
+            assert g.block_roots[path // 3].tolist() == walk[1:]
+    g = build(1)
+    assert g.path_to_sink(g.sink_index).tolist() == [] and geodesic_to_sink(g, g.sink) == [g.sink]
+
+
 def test_geodesic_subgraph_origin(g1):
     # from the origin the geodesic subgraph is the whole diagonal chain
     assert geodesic_subgraph(g1, (0, 0)) == diagonal_vertices(g1)
