@@ -415,34 +415,18 @@ class MonteCarloEstimate:
         return {k: v for k, v in asdict(self).items() if k != "workers"}
 
 
-def _run_chain_trials(trials: int, level: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    """Each live trial steps to next[d, state] for d uniform on 0..15, which
-    is exact because column x of the sorted walk table holds each j exactly
-    16 P[x][j] times."""
-    step = np.sort(_k4_walk_table(), axis=0)
-    states = np.ones(trials, dtype=np.int64)
+def _run_trials(table: np.ndarray, level: int, trials: int, rng: np.random.Generator) -> tuple[int, int, int]:
+    """Walk X_{i+1} = table[d, X_i] from X_0 = 1 for at most 3^level steps,
+    with d uniform over the table's rows.  Each step draws only for the
+    trials not yet at 0 or 4, in trial order, as both are fixed points."""
+    states = np.ones(trials, dtype=np.int64)  # the added particle at the origin
     active = np.arange(trials)
     for _ in range(3**level):
         if len(active) == 0:
             break
-        draws = rng.integers(0, len(step), size=len(active))
-        states[active] = step[draws, states[active]]
-        live = (states[active] != 0) & (states[active] != 4)
-        active = active[live]
-    stabilized = int(np.count_nonzero(states == 0))
-    exploded = int(np.count_nonzero(states == 4))
-    return stabilized, exploded, trials - stabilized - exploded
-
-
-def _run_sandpile_trials(trials: int, level: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    walk = _k4_walk_table()
-    picks = rng.integers(0, len(walk), size=(trials, 3**level))
-    states = np.ones(trials, dtype=np.int64)  # the added particle at the origin
-    for blocks in picks.T:
-        states = walk[blocks, states]
-        # 0 and 4 are fixed points, and every draw is made above
-        if not (states & 3).any():
-            break
+        step = table[rng.integers(0, len(table), size=len(active)), states[active]]
+        states[active] = step
+        active = active[(step & 3) != 0]
     stabilized = int(np.count_nonzero(states == 0))
     exploded = int(np.count_nonzero(states == 4))
     return stabilized, exploded, trials - stabilized - exploded
@@ -450,29 +434,26 @@ def _run_sandpile_trials(trials: int, level: int, rng: np.random.Generator) -> t
 
 # Trials per random stream.  Every block of trials draws from its own child
 # of the caller's stream and workers take whole blocks, so the counts depend
-# on the seed alone and the worker count changes only the wall time.  Both
-# modes walk a whole block at once; the sandpile blocks stay at 2^10 trials
-# because the block size fixes which stream each trial draws from, and with
-# it the counts for a given seed.
-_BLOCK_TRIALS = {"chain": 1 << 18, "sandpile": 1 << 10}
+# on the seed alone and the worker count changes only the wall time.
+_BLOCK_TRIALS = 1 << 18
 
 
 def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: int = 1) -> MonteCarloEstimate:
     """Estimate the stabilization probability by simulation.
 
-    chain mode simulates the particle-count chain from state 1 for at most
-    3^level steps, drawing each step from the transition law.  sandpile
-    mode draws independent uniform recurrent K4 blocks for the 3^level
-    diagonal blocks of the level graph, adds one particle at the origin,
-    and classifies the nested-volume flow by its absorbing value.  By the
-    reflector lemma (module docstring) stabilized volumes return every
-    particle the next cutpoint sends them, so the flow is the walk
-    X_{i+1} = T[block_{i+1}, X_i] from X_0 = 1 over the drawn blocks, one
-    gather per block for all trials at once, until all are at 0 or 4.  The
-    trials are split into fixed-size blocks, each with its own child random
-    stream; workers share out the blocks, and the result does not depend on
-    how many there are.  No more workers run than there are blocks, and the
-    estimate records how many did.
+    Both modes run ``_run_trials`` from X_0 = 1 for at most 3^level steps.
+    chain mode walks the column-sorted block table, whose column x holds
+    each next state j exactly 16 P[x][j] times, so each step is drawn from
+    the transition law.  sandpile mode walks the table in
+    ``enumerate_recurrent_k4()`` order, so draw d picks the recurrent K4
+    block of row d for the next diagonal block of the level graph, and by
+    the reflector lemma (module docstring) the nested-volume flow of the
+    drawn blocks plus one particle at the origin is the walk
+    X_{i+1} = T[block_{i+1}, X_i].  The trials are split into fixed-size
+    blocks, each with its own child random stream; workers share out the
+    blocks, and the result does not depend on how many there are.  No more
+    workers run than there are blocks, and the estimate records how many
+    did.
     """
     if mode not in ("chain", "sandpile"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -482,19 +463,21 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
         raise ValueError("level must be non-negative")
     if mode == "sandpile":
         _check_level(level)
+        table = _k4_walk_table()
+    else:
+        table = np.sort(_k4_walk_table(), axis=0)
     rng = np.random.default_rng(rng)
 
-    size = _BLOCK_TRIALS[mode]
-    blocks = [min(size, trials - start) for start in range(0, trials, size)]
-    args = ([mode] * len(blocks), [level] * len(blocks), blocks, rng.spawn(len(blocks)))
+    blocks = [min(_BLOCK_TRIALS, trials - start) for start in range(0, trials, _BLOCK_TRIALS)]
+    args = ([table] * len(blocks), [level] * len(blocks), blocks, rng.spawn(len(blocks)))
     workers = min(max(1, workers), len(blocks))
     if workers == 1:
-        parts = list(map(_run_trial_block, *args))
+        parts = list(map(_run_trials, *args))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_trial_block, *args))
+            parts = list(pool.map(_run_trials, *args))
     stabilized, exploded, truncated = (sum(column) for column in zip(*parts))
     p = stabilized / trials
     stderr = math.sqrt(max(p * (1 - p), 1e-300) / trials)
@@ -509,11 +492,6 @@ def monte_carlo_stabilization(mode: str, level: int, trials: int, rng, workers: 
         stderr=stderr,
         workers=workers,
     )
-
-
-def _run_trial_block(mode: str, level: int, trials: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    run = _run_chain_trials if mode == "chain" else _run_sandpile_trials
-    return run(trials, level, rng)
 
 
 def default_workers() -> int:

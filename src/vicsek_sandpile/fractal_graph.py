@@ -86,6 +86,8 @@ class VertexTree(NamedTuple):
     preorder position over the non-sink vertices.
 
     - ``order``: the vertex index at each position;
+    - ``position``: the inverse of ``order``, indexed by vertex, with -1
+      for the sink, so that stop[-1] ends every span;
     - ``stop``: the end of each position's subtree, so that positions
       p .. stop[p] - 1 are the subtree and stop[p] - p is its size;
     - ``block_start``, ``block_stop``: the span of the subtrees of the
@@ -101,6 +103,7 @@ class VertexTree(NamedTuple):
     """
 
     order: np.ndarray
+    position: np.ndarray
     stop: np.ndarray
     block_start: np.ndarray
     block_stop: np.ndarray
@@ -253,7 +256,8 @@ class BlockTree:
         """The ``corner_slots`` of i and its ancestors, i first: i's geodesic
         blocks.  The ancestors are the preorder positions a <= p whose
         subtree has not closed by i's position p."""
-        tree, p = self.vertex_tree, self._position(i)
+        tree = self.vertex_tree
+        p = tree.position[i]
         return self.corner_slots[tree.order[np.flatnonzero(tree.stop[: p + 1] > p)[::-1]]]
 
     @property
@@ -307,6 +311,7 @@ class BlockTree:
         stop = (pos + size)[order]
         return VertexTree(
             order=order,
+            position=pos,
             stop=stop,
             block_start=block_start[order],
             block_stop=block_stop[order],
@@ -323,7 +328,7 @@ class BlockTree:
         depth = self.distance_to_sink()
         tree = self.vertex_tree
         at = np.arange(len(tree.order))
-        p = self._position(source)
+        p = tree.position[source]
         ancestor = (at <= p) & (tree.stop > p)
         common = np.cumsum(ancestor - np.bincount(tree.stop[ancestor], minlength=len(at) + 1)[:-1])
         # the common ancestor is u or v when v is an ancestor of u or below it
@@ -335,10 +340,6 @@ class BlockTree:
 
     def distance_to_sink(self) -> np.ndarray:
         return self._layout[1]
-
-    def _position(self, i: int) -> int:
-        # vertex i's preorder position; the sink takes -1, so stop[-1] ends every span
-        return next(iter(np.flatnonzero(self.vertex_tree.order == i)), -1)
 
 
 class VicsekGraph(BlockTree):
@@ -452,7 +453,7 @@ def descendants(g: VicsekGraph, x: Coord) -> set[Coord]:
     """Vertices whose geodesic to the sink passes through x (x excluded):
     x's subtree in the preorder of the vertex tree, less x."""
     tree = g.vertex_tree
-    p = g._position(g.vertex_index(x))
+    p = tree.position[g.vertex_index(x)]
     return {g.vertices[i] for i in tree.order[p + 1 : tree.stop[p]].tolist()}
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -30,7 +31,7 @@ from vicsek_sandpile.chain import (
     SingularMatrixError,
     TransitionMatrix,
     _k4_walk_table,
-    _run_sandpile_trials,
+    _run_trials,
     default_workers,
 )
 from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV, CapacityError, has_ternary_digit_two
@@ -398,12 +399,13 @@ def test_monte_carlo_sandpile_mode():
 
 
 # sandpile-mode counts (stabilized, exploded, truncated) per (level, trials,
-# seed), as the queue engine gave them one trial at a time
+# seed), as the queue engine gave them one trial at a time on the blocks the
+# kernel draws (``queue_counts_of_live_draws`` on the seed's one child stream)
 SANDPILE_COUNTS = {
-    (1, 2500, 7): (1715, 461, 324),
-    (2, 3000, 99): (2252, 741, 7),
-    (3, 3000, 7): (2234, 766, 0),
-    (4, 2000, 11): (1475, 525, 0),
+    (1, 2500, 7): (1661, 479, 360),
+    (2, 3000, 99): (2225, 769, 6),
+    (3, 3000, 7): (2216, 784, 0),
+    (4, 2000, 11): (1483, 517, 0),
 }
 
 
@@ -484,14 +486,33 @@ def test_walk_matches_queue_engine_on_long_chains():
         assert walk_of_blocks(picks, added) == queue_flow_of_blocks(picks, added)
 
 
-def test_sandpile_trials_match_queue_engine():
-    """The Monte Carlo kernel classifies the same drawn blocks as the queue
-    engine stopped at absorption."""
-    trials, level = 400, 3
-    picks = np.random.default_rng(41).integers(0, 16, size=(trials, 3**level))
+def queue_counts_of_live_draws(level: int, trials: int, rng: np.random.Generator) -> tuple[int, int, int]:
+    """(stabilized, exploded, truncated) by the queue engine on the blocks
+    the Monte Carlo kernel draws: at each of at most 3^level steps one
+    ``integers(0, 16, size=live)`` call picks the next block of each trial
+    still live, in trial order, where live means that the queue engine,
+    stopped at absorption, has not yet reached 0 or 4 on its blocks so far."""
+    picks = [[] for _ in range(trials)]
+    active = list(range(trials))
+    for _ in range(3**level):
+        if not active:
+            break
+        for t, d in zip(active, rng.integers(0, 16, size=len(active)).tolist()):
+            picks[t].append(d)
+        active = [
+            t for t in active
+            if queue_flow_of_blocks(picks[t], 1, stop_at_absorption=True)[-1] not in (0, 4)
+        ]
     last = [queue_flow_of_blocks(row, 1, stop_at_absorption=True)[-1] for row in picks]
-    want = (last.count(0), last.count(4), trials - last.count(0) - last.count(4))
-    assert _run_sandpile_trials(trials, level, np.random.default_rng(41)) == want
+    return last.count(0), last.count(4), trials - last.count(0) - last.count(4)
+
+
+def test_sandpile_trials_match_queue_engine():
+    """The Monte Carlo kernel on the unsorted table classifies the blocks it
+    draws as the queue engine stopped at absorption does."""
+    trials, level = 400, 3
+    want = queue_counts_of_live_draws(level, trials, np.random.default_rng(41))
+    assert _run_trials(_k4_walk_table(), level, trials, np.random.default_rng(41)) == want
 
 
 def test_monte_carlo_modes_agree():
@@ -512,7 +533,7 @@ def test_monte_carlo_counts_independent_of_workers():
     # two and a half blocks of trials in each mode, so that the workers share
     # the blocks unevenly
     for mode, level in (("chain", 2), ("sandpile", 1)):
-        trials = 5 * _BLOCK_TRIALS[mode] // 2
+        trials = 5 * _BLOCK_TRIALS // 2
         runs = [monte_carlo_stabilization(mode, level, trials, rng=7, workers=w) for w in (1, 2, 3)]
         assert [run.workers for run in runs] == [1, 2, 3], mode
         one, two, three = (run.as_dict() for run in runs)
@@ -555,3 +576,20 @@ def test_sandpile_monte_carlo_builds_no_level_graph(monkeypatch):
     with pytest.raises(ValueError, match="non-negative"):
         monte_carlo_stabilization("sandpile", -1, 10, rng=0)
     assert built == []
+
+
+def test_sandpile_monte_carlo_memory_is_flat_in_the_level(monkeypatch):
+    """Sandpile mode draws blocks only for the live trials, so its peak
+    memory stays the same from 9 to 2187 diagonal blocks."""
+    monkeypatch.setenv(LEVEL_CAP_ENV, "7")
+    monte_carlo_stabilization("sandpile", 0, 1, rng=0)  # tables and lazy imports
+    peaks = []
+    for level in (2, 7):
+        tracemalloc.start()
+        try:
+            monte_carlo_stabilization("sandpile", level, 4096, rng=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1 << 20, peaks
+    assert max(peaks) <= 1.25 * min(peaks), peaks

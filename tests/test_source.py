@@ -57,12 +57,12 @@ def test_library_has_no_assert_statements():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
-class _LevelCapCalls(ast.NodeVisitor):
-    """The innermost function around each call of ``level_cap()``, None for
-    a call at module level."""
+class _CallScopes(ast.NodeVisitor):
+    """The innermost function around each call of a function or method
+    named ``name``, None for a call at module level."""
 
-    def __init__(self):
-        self.scopes, self.callers = [None], []
+    def __init__(self, name: str):
+        self.name, self.scopes, self.callers = name, [None], []
 
     def visit_FunctionDef(self, node):
         self.scopes.append(node.name)
@@ -70,7 +70,7 @@ class _LevelCapCalls(ast.NodeVisitor):
         self.scopes.pop()
 
     def visit_Call(self, node):
-        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "level_cap":
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == self.name:
             self.callers.append(self.scopes[-1])
         self.generic_visit(node)
 
@@ -88,11 +88,19 @@ def test_capacity_rules_have_one_owner():
         }
         if "_STACK_HEIGHTS" in names:
             stack_named.add(path.stem)
-        calls = _LevelCapCalls()
+        calls = _CallScopes("level_cap")
         calls.visit(tree)
         cap_called.update((path.stem, caller) for caller in calls.callers)
     assert stack_named == {"sandpile"}
     assert cap_called == {("fractal_graph", "_check_level")}
+
+
+def test_monte_carlo_draws_have_one_owner():
+    """Both ``mc`` modes draw through one kernel: in ``chain`` only
+    ``_run_trials`` calls ``.integers``."""
+    calls = _CallScopes("integers")
+    calls.visit(ast.parse((PACKAGE / "chain.py").read_text(encoding="utf-8")))
+    assert calls.callers == ["_run_trials"]
 
 
 # Run in a fresh interpreter: every cold command path, then a read-off
