@@ -37,7 +37,7 @@ import numpy as np
 
 from .fractal_graph import BlockTree, Coord, VicsekGraph, _check_level, build
 from .recurrence import _block_picks, is_recurrent
-from .sandpile import _K4_WALK, SandpileConfig, _check_config, _k4_class
+from .sandpile import _K4_WALK, SandpileConfig, _check_config, _k4_class, _stacks
 
 
 class SingularMatrixError(ArithmeticError):
@@ -195,11 +195,13 @@ class SinkHitEstimate:
     stderr: float
 
 
+_WALK_LISTS = _K4_WALK.tolist()
+
+
 def _geodesic_walk(g: VicsekGraph, x: Coord) -> tuple[np.ndarray, list]:
     """The blocks of x's geodesic, and their ``_K4_WALK`` rows by entry slot."""
     blocks, entry = np.divmod(g.path_to_sink(g.vertex_index(x)), 3)
-    walk = _K4_WALK.tolist()
-    return blocks, [walk[e] for e in entry.tolist()]
+    return blocks, [_WALK_LISTS[e] for e in entry.tolist()]
 
 
 def _sink_count(steps: list, picks: list, k: int) -> int:
@@ -241,8 +243,8 @@ def sink_hit_probability(
       particles to t_i and sends a_i on.  A negative carry raises
       ``RuntimeError``.
 
-    Picks are drawn per sample as ``sample_recurrent`` draws them, so a seed
-    gives the hits of stabilizing those samples."""
+    Picks are drawn as ``sample_recurrent`` draws them, so a seed gives the
+    hits of stabilizing those samples."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if x == g.sink:
@@ -252,7 +254,9 @@ def sink_hit_probability(
     blocks, steps = _geodesic_walk(g, x)
     rng = np.random.default_rng(rng)
     hits = sum(
-        _sink_count(steps, _block_picks(g, rng)[blocks].tolist(), k) >= 1 for _ in range(samples)
+        _sink_count(steps, picks, k) >= 1
+        for chunk in _stacks(g, range(samples))
+        for picks in _block_picks(g, rng, len(chunk))[:, blocks].tolist()
     )
     p = hits / samples
     stderr = float(np.sqrt(max(p * (1 - p), 1e-300) / samples))

@@ -20,6 +20,7 @@ check the identity against that recursion, built from ``merge``.
 The verification routine checks the identity laws with the sandpile engine
 and additionally confirms that stabilizing four times the identity sends
 2 mod 4 particles into the sink, the invariant that drives the recursion.
+Each stack of rows is drawn, stabilized and checked as arrays.
 The engine reads its results off the same sweep that defines ``identity``,
 so what the checks add is the exact solve u = L^-1 (h - r) >= 0 and the
 mass balance behind each result; the checks free of the block tree are
@@ -35,13 +36,13 @@ from functools import lru_cache
 import numpy as np
 
 from .fractal_graph import Coord, VicsekGraph, _check_level, build
-from .recurrence import is_recurrent, sample_recurrent
+from .recurrence import _block_picks, _recurrent_rows, is_recurrent
 from .sandpile import (
     SandpileConfig,
     _recurrent_representative,
+    _stabilize_rows,
     _stacks,
     stabilize,
-    stabilize_many,
 )
 
 
@@ -173,18 +174,21 @@ def verify_identity(
 
     report.clauses["a_recurrent"] = is_recurrent(g, candidate)
     clauses = dict.fromkeys(["b_idempotent", "c_neutral", "d_fourfold_collapse"], True)
-    # each row: the clause it checks, its heights, and the result the clause wants
-    def rows():
-        yield "b_idempotent", candidate + candidate, candidate
-        for _ in range(samples):
-            eta = sample_recurrent(g, rng)
-            yield "c_neutral", candidate + eta, eta
-            yield "d_fourfold_collapse", eta.scaled(4), candidate
-
-    for stack in _stacks(g, rows()):
-        results = stabilize_many(g, [heights for _, heights, _ in stack])
-        for (name, _, want), (out, _) in zip(stack, results):
-            clauses[name] &= out == want
+    # Rows: e + e, then e + eta_i and 4 eta_i, so (b) is (c) with eta = e.
+    # pool: e, the last sample drawn (e at first), then the stack's new ones
+    e = candidate.heights
+    pool = np.stack([e, e])
+    for stack in _stacks(g, range(2 * samples + 1)):
+        row = np.array(stack)
+        at = (row - 1) // 2 - row[0] // 2 + 2  # row[0] // 2 drawn before
+        pool = np.concatenate([pool[[0, -1]], _recurrent_rows(g, _block_picks(g, rng, at[-1] - 1))])
+        eta = pool[at]
+        four = (row % 2 == 0) & (row > 0)
+        heights = np.where(four[:, None], 4 * eta, e + eta)
+        want = np.where(four[:, None], e, eta)
+        same = (_stabilize_rows(g, heights)[0] == want).all(axis=1)
+        for name, rows in zip(clauses, (row == 0, row % 2 == 1, four)):
+            clauses[name] &= bool(same[rows].all())
     report.clauses.update(clauses)
 
     _, rep = stabilize(g, candidate.scaled(4))

@@ -212,15 +212,21 @@ def wilson_ust(g: VicsekGraph, rng) -> SpanningTree:
     return SpanningTree(parent=parent, root=root)
 
 
-def _block_picks(g: BlockTree, rng: np.random.Generator) -> np.ndarray:
-    """One uniform row of ``_K4_RECURRENT`` per block: one sample's draws."""
-    return rng.integers(0, len(_K4_RECURRENT), size=len(g.blocks))
+def _block_picks(g: BlockTree, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """A uniform ``_K4_RECURRENT`` row per block and sample; numpy's draws
+    join end to end, as ``samples`` one-sample calls."""
+    return rng.integers(0, len(_K4_RECURRENT), size=(samples, len(g.blocks)))
+
+
+def _recurrent_rows(g: BlockTree, picks: np.ndarray) -> np.ndarray:
+    """The recurrent heights of each row of picks: the picked triples on
+    the blocks' non-root corners, plus the glue."""
+    triples = _K4_RECURRENT[picks].reshape(len(picks), 3 * len(g.blocks))
+    return triples.take(g.corner_slots, axis=1) + _glue(g)
 
 
 def sample_recurrent(g: BlockTree, rng) -> SandpileConfig:
     """Exactly uniform sample from the recurrent configurations: one uniform
     recurrent K4 configuration per block on its three non-root corners (in
     canonical order), plus three particles at every non-sink block root."""
-    heights = _glue(g)
-    heights[g.block_corners] += _K4_RECURRENT[_block_picks(g, np.random.default_rng(rng))]
-    return SandpileConfig(heights)
+    return SandpileConfig(_recurrent_rows(g, _block_picks(g, np.random.default_rng(rng), 1))[0])

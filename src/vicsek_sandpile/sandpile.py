@@ -11,9 +11,8 @@ counts (the odometer) do not depend on the order.
 The engine takes any tree of K4 blocks glued at cut vertices whose last
 vertex is the sink (``fractal_graph.BlockTree``): a Vicsek graph, or one of
 the diagonal chain's nested volumes, which ``boundary_flow`` stabilizes one
-after another.  ``stabilize_many`` is the only toppling loop in the package:
-it takes a stack of height rows, and ``stabilize`` is that engine with one
-row.
+after another.  ``_stabilize_rows``, on a stack of height rows, is the only
+toppling loop in the package; ``stabilize_many`` and ``stabilize`` wrap it.
 
 The stabilizer reads the result off the block tree first.  The sandpile
 group is the direct sum of the K4 blocks' groups, so a leaves-first sweep
@@ -24,7 +23,7 @@ depth's block roots are one slice, so a depth costs five numpy steps for a
 whole stack of rows.  Eliminating the blocks leaves-first gives
 u = L^-1 (h - r) exactly in int64 for the reduced Laplacian L, from prefix
 sums over a preorder of the block tree.  If u >= 0, r and u are the stable
-result and the odometer (proof in ``stabilize_many``); that is so exactly
+result and the odometer (proof in ``_stabilize_rows``); that is so exactly
 when the result is recurrent, as for a recurrent configuration plus
 particles, sums of recurrent configurations and multiples of them.  The
 solve is skipped when sum(h) < sum(r), because the sink cannot give
@@ -56,7 +55,7 @@ import numpy as np
 from .fractal_graph import BlockTree, Coord, VicsekGraph
 
 _OVERFLOW_LIMIT = np.int64(2) ** 40
-# _stacks hands stabilize_many at most this many heights per call: enough
+# _stacks hands the engine at most this many heights per call: enough
 # rows to share each numpy step at small levels, while the engine's arrays
 # stay a few megabytes each at the largest, whatever the sample count.
 _STACK_HEIGHTS = 2**18
@@ -344,9 +343,20 @@ def stabilize_many(
     g: BlockTree, configs: list[SandpileConfig]
 ) -> list[tuple[SandpileConfig, AvalancheReport]]:
     """Stabilize each configuration of a stack, as ``stabilize`` does one:
-    the stable configuration and the avalanche report per row, in order.
-    Rows never interact; the stack shares the numpy steps of the read-off
-    and of the rounds.  Terminates on any finite graph with a sink.
+    the stable configuration and the avalanche report per row, in order."""
+    for c in configs:
+        _check_config(g, c)
+    return [
+        (SandpileConfig(h), AvalancheReport(g, o, s, int(r), bool(t)))
+        for h, o, s, r, t in zip(*_stabilize_rows(g, [c.heights for c in configs]))
+    ]
+
+
+def _stabilize_rows(g: BlockTree, heights) -> tuple[np.ndarray, ...]:
+    """The engine on a stack of height rows: the stable heights, odometers,
+    sink particles, rounds and read-off flags, per row.  Rows never
+    interact; the stack shares the numpy steps of the read-off and of the
+    rounds.  Terminates on any finite graph with a sink.
 
     A stable row is its own result, with a zero odometer.  Otherwise the
     heights h are first compared with their recurrent representative r:
@@ -360,7 +370,7 @@ def stabilize_many(
     subconfiguration (Dhar) of the recurrent r.  Hence o = u and s = r.
     Conversely a recurrent result equals r, the one recurrent configuration
     of its class, and then o = u >= 0; so this path is taken exactly when
-    the result is recurrent, and the row's report has ``read_off`` set.  The
+    the result is recurrent, and the row is flagged read off.  The
     particles it sends to the sink, sum(h) - sum(r), are a count, so the
     solve is skipped when sum(h) < sum(r).  It needs heights of at least
     -2^40: with a positive mass of at most 2^40 and sum(h - r) >= 0,
@@ -372,10 +382,8 @@ def stabilize_many(
     the other rows left to them; a row's rounds are the ones in which it
     fired.
     """
-    for c in configs:
-        _check_config(g, c)
     deg = g.degrees[:-1]
-    heights = np.array([c.heights for c in configs], dtype=np.int64).reshape(-1, len(deg))
+    heights = np.array(heights, dtype=np.int64).reshape(-1, len(deg))
     # total mass is conserved, so no height can ever exceed the initial sum
     if (np.maximum(heights, 0).sum(axis=1) > _OVERFLOW_LIMIT).any():
         raise OverflowError("sandpile mass exceeds the engine limit")
@@ -412,10 +420,7 @@ def stabilize_many(
     sink_particles = odometer @ g.sink_degrees
     if (mass != heights.sum(axis=1) + sink_particles).any():
         raise RuntimeError("stabilization lost mass: what left the heights missed the sink")
-    return [
-        (SandpileConfig(h), AvalancheReport(g, o, s, int(r), bool(t)))
-        for h, o, s, r, t in zip(heights, odometer, sink_particles, rounds, read_off)
-    ]
+    return heights, odometer, sink_particles, rounds, read_off
 
 
 def add_particles(g: VicsekGraph, c: SandpileConfig, v: Coord, k: int) -> SandpileConfig:

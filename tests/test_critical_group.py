@@ -220,8 +220,16 @@ def test_element_order_requires_recurrent(g1):
 
 
 def test_sink_hit_certain_with_four(g1, g2, rng):
-    for g, x in ((g1, (0, 0)), (g1, (1, 2)), (g2, (4, 5)), (g2, (0, 3))):
-        est = sink_hit_probability(g, x, 4, samples=40, rng=rng)
+    """k >= 4 particles always reach the sink: 4 delta_x is 0 in the group,
+    so eta + k delta_x ends where eta + (k - 4) delta_x does, 4 particles
+    lighter.  Fixed vertices, then sampled ones at levels 0-3, k = 4..9."""
+    cases = [(g1, (0, 0), 4), (g1, (1, 2), 4), (g2, (4, 5), 4), (g2, (0, 3), 4)]
+    for level in range(4):
+        g = build(level)
+        for vi in rng.choice(g.num_vertices - 1, size=min(5, g.num_vertices - 1), replace=False):
+            cases += [(g, g.vertices[vi], k) for k in range(4, 10)]
+    for g, x, k in cases:
+        est = sink_hit_probability(g, x, k, samples=40, rng=rng)
         assert est.hits == est.samples
         assert est.estimate == 1.0
 

@@ -1,6 +1,7 @@
 import importlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from vicsek_sandpile import (
@@ -12,11 +13,11 @@ from vicsek_sandpile import (
     merge,
     sample_recurrent,
     stabilize,
-    stabilize_many,
     verify_identity,
 )
 from vicsek_sandpile.fractal_graph import LEVEL_CAP_ENV
 from vicsek_sandpile.identity import MergeSpec, identity
+from vicsek_sandpile.sandpile import _stabilize_rows
 
 from .oracles import merge_identity
 
@@ -194,19 +195,47 @@ def test_identity_is_cached_and_returned_fresh(monkeypatch):
 
 def test_verify_identity_stack_is_read_off(g2, monkeypatch):
     """For the true identity every row of the stack, 2e, e + eta_i and
-    4 eta_i, is read off the block tree with no rounds."""
-    stacks = []
+    4 eta_i, is read off the block tree with no rounds, in one engine call."""
+    calls = []
 
-    def spy(g, configs):
-        out = stabilize_many(g, configs)
-        stacks.append(out)
+    def spy(g, heights):
+        out = _stabilize_rows(g, heights)
+        calls.append(out)
         return out
 
-    monkeypatch.setattr(identity_module, "stabilize_many", spy)
+    monkeypatch.setattr(identity_module, "_stabilize_rows", spy)
     verify_identity(g2, identity(2), samples=5, rng=1)
-    [stack] = stacks
-    assert len(stack) == 11
-    assert all(rep.read_off and rep.rounds == 0 for _, rep in stack)
+    [(heights, _, _, rounds, read_off)] = calls
+    assert len(heights) == 11
+    assert read_off.all() and not rounds.any()
+
+
+@pytest.mark.parametrize("stack_heights", [None, 300, 75])
+def test_verify_identity_rows_follow_the_sampler_stream(g2, monkeypatch, stack_heights):
+    """The rows handed to the engine are 2e, then e + eta_i and 4 eta_i for
+    the samples successive ``sample_recurrent`` calls draw from the same
+    seed, whether the stacks hold all rows, four (so a sample's two rows
+    straddle stacks) or one; no engine call gets more than
+    ``_STACK_HEIGHTS`` heights."""
+    if stack_heights:
+        monkeypatch.setattr(sandpile_module, "_STACK_HEIGHTS", stack_heights)
+    calls = []
+
+    def spy(g, heights):
+        calls.append(np.array(heights))
+        return _stabilize_rows(g, heights)
+
+    monkeypatch.setattr(identity_module, "_stabilize_rows", spy)
+    samples, e = 7, identity(2).heights
+    verify_identity(g2, identity(2), samples, rng=5)
+    assert all(c.size <= sandpile_module._STACK_HEIGHTS for c in calls)
+    assert len(calls) == (1 if stack_heights is None else -(-15 // (stack_heights // 75)))
+    rows = np.concatenate(calls)
+    rng = np.random.default_rng(5)
+    etas = np.array([sample_recurrent(g2, rng).heights for _ in range(samples)])
+    assert np.array_equal(rows[0], 2 * e)
+    assert np.array_equal(rows[1::2], e + etas)
+    assert np.array_equal(rows[2::2], 4 * etas)
 
 
 @pytest.mark.parametrize("stack_heights", [None, 300])

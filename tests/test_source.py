@@ -69,9 +69,15 @@ class _CallScopes(ast.NodeVisitor):
         self.generic_visit(node)
         self.scopes.pop()
 
+    def visit_ClassDef(self, node):
+        # a method reads as Class.method
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
     def visit_Call(self, node):
         if getattr(node.func, "id", getattr(node.func, "attr", None)) == self.name:
-            self.callers.append(self.scopes[-1])
+            self.callers.append(".".join(filter(None, self.scopes)) or None)
         self.generic_visit(node)
 
 
@@ -101,6 +107,22 @@ def test_monte_carlo_draws_have_one_owner():
     calls = _CallScopes("integers")
     calls.visit(ast.parse((PACKAGE / "chain.py").read_text(encoding="utf-8")))
     assert calls.callers == ["_run_trials"]
+
+
+def test_recurrent_draws_have_one_owner():
+    """Every sampler of recurrent configurations shares one draw shape: in
+    ``recurrence`` only ``_block_picks`` and Wilson's reference pool call
+    ``.integers``, and ``identity`` and ``critical_group`` call it nowhere."""
+    callers = {}
+    for stem in ("recurrence", "identity", "critical_group"):
+        calls = _CallScopes("integers")
+        calls.visit(ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8")))
+        callers[stem] = sorted(calls.callers)
+    assert callers == {
+        "recurrence": ["_UniformPool.draw", "_block_picks"],
+        "identity": [],
+        "critical_group": [],
+    }
 
 
 # Run in a fresh interpreter: every cold command path, then a read-off
