@@ -17,10 +17,10 @@ level-1 identity is the k = 3 merge of five all-2 blocks, and every later
 level is the k = 2 merge of five copies of the previous identity; the tests
 check the identity against that recursion, built from ``merge``.
 
-The verification routine checks the identity laws with the sandpile engine
-and additionally confirms that stabilizing four times the identity sends
-2 mod 4 particles into the sink, the invariant that drives the recursion.
-Each stack of rows is drawn, stabilized and checked as arrays.
+The verification routine checks the identity laws with the sandpile engine,
+a stack of rows at a time as arrays, and additionally confirms that
+stabilizing four times the identity sends 2 mod 4 particles into the sink,
+the invariant that drives the recursion.
 The engine reads its results off the same sweep that defines ``identity``,
 so what the checks add is the exact solve u = L^-1 (h - r) >= 0 and the
 mass balance behind each result; the checks free of the block tree are
@@ -174,21 +174,22 @@ def verify_identity(
 
     report.clauses["a_recurrent"] = is_recurrent(g, candidate)
     clauses = dict.fromkeys(["b_idempotent", "c_neutral", "d_fourfold_collapse"], True)
-    # Rows: e + e, then e + eta_i and 4 eta_i, so (b) is (c) with eta = e.
-    # pool: e, the last sample drawn (e at first), then the stack's new ones
+    # Rows: e + e ((b) is (c) with eta = e), then e + eta_i and 4 eta_i.  A
+    # stack from row j0 draws its odd rows' samples; pool[k] is then sample
+    # j0 // 2 - 1 + k (e at first).
     e = candidate.heights
-    pool = np.stack([e, e])
+    pool = e[None]
     for stack in _stacks(g, range(2 * samples + 1)):
-        row = np.array(stack)
-        at = (row - 1) // 2 - row[0] // 2 + 2  # row[0] // 2 drawn before
-        pool = np.concatenate([pool[[0, -1]], _recurrent_rows(g, _block_picks(g, rng, at[-1] - 1))])
-        eta = pool[at]
-        four = (row % 2 == 0) & (row > 0)
-        heights = np.where(four[:, None], 4 * eta, e + eta)
-        want = np.where(four[:, None], e, eta)
+        j0, j1 = stack[0], stack[-1] + 1
+        new = _recurrent_rows(g, _block_picks(g, rng, j1 // 2 - j0 // 2))
+        pool = np.concatenate([pool[-1:], new])
+        plus, four = pool[j0 > 0 :], pool[j0 % 2 if j0 else 1 : (j1 + 1) // 2 - j0 // 2]
+        heights = np.concatenate([e + plus, 4 * four])
+        want = np.concatenate([plus, np.broadcast_to(e, four.shape)])
         same = (_stabilize_rows(g, heights)[0] == want).all(axis=1)
-        for name, rows in zip(clauses, (row == 0, row % 2 == 1, four)):
-            clauses[name] &= bool(same[rows].all())
+        clauses["b_idempotent"] &= bool(j0 or same[0])
+        clauses["c_neutral"] &= bool(same[j0 == 0 : len(plus)].all())
+        clauses["d_fourfold_collapse"] &= bool(same[len(plus) :].all())
     report.clauses.update(clauses)
 
     _, rep = stabilize(g, candidate.scaled(4))

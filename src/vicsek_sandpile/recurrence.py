@@ -213,14 +213,13 @@ def wilson_ust(g: VicsekGraph, rng) -> SpanningTree:
 
 
 def _block_picks(g: BlockTree, rng: np.random.Generator, samples: int) -> np.ndarray:
-    """A uniform ``_K4_RECURRENT`` row per block and sample; numpy's draws
-    join end to end, as ``samples`` one-sample calls."""
+    """A uniform ``_K4_RECURRENT`` row per block and sample; as numpy's
+    draws join end to end, ``samples`` one-sample calls."""
     return rng.integers(0, len(_K4_RECURRENT), size=(samples, len(g.blocks)))
 
 
 def _recurrent_rows(g: BlockTree, picks: np.ndarray) -> np.ndarray:
-    """The recurrent heights of each row of picks: the picked triples on
-    the blocks' non-root corners, plus the glue."""
+    """Per row of picks, the picked triples on the blocks plus the glue."""
     triples = _K4_RECURRENT[picks].reshape(len(picks), 3 * len(g.blocks))
     return triples.take(g.corner_slots, axis=1) + _glue(g)
 

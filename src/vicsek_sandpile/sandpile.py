@@ -11,8 +11,8 @@ counts (the odometer) do not depend on the order.
 The engine takes any tree of K4 blocks glued at cut vertices whose last
 vertex is the sink (``fractal_graph.BlockTree``): a Vicsek graph, or one of
 the diagonal chain's nested volumes, which ``boundary_flow`` stabilizes one
-after another.  ``_stabilize_rows``, on a stack of height rows, is the only
-toppling loop in the package; ``stabilize_many`` and ``stabilize`` wrap it.
+after another.  ``_stabilize_rows``, on a stack of height rows, is the
+package's only toppling loop; ``stabilize_many`` and ``stabilize`` wrap it.
 
 The stabilizer reads the result off the block tree first.  The sandpile
 group is the direct sum of the K4 blocks' groups, so a leaves-first sweep
@@ -353,10 +353,10 @@ def stabilize_many(
 
 
 def _stabilize_rows(g: BlockTree, heights) -> tuple[np.ndarray, ...]:
-    """The engine on a stack of height rows: the stable heights, odometers,
-    sink particles, rounds and read-off flags, per row.  Rows never
-    interact; the stack shares the numpy steps of the read-off and of the
-    rounds.  Terminates on any finite graph with a sink.
+    """Per row of a stack of heights: stable heights, odometer, sink
+    particles, rounds and whether it was read off.  Rows never interact;
+    the stack shares the numpy steps of the read-off and of the rounds.
+    Terminates on any finite graph with a sink.
 
     A stable row is its own result, with a zero odometer.  Otherwise the
     heights h are first compared with their recurrent representative r:

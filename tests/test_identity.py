@@ -212,9 +212,9 @@ def test_verify_identity_stack_is_read_off(g2, monkeypatch):
 
 @pytest.mark.parametrize("stack_heights", [None, 300, 75])
 def test_verify_identity_rows_follow_the_sampler_stream(g2, monkeypatch, stack_heights):
-    """The rows handed to the engine are 2e, then e + eta_i and 4 eta_i for
+    """The engine gets the rows 2e, e + eta_i and 4 eta_i, in some order, for
     the samples successive ``sample_recurrent`` calls draw from the same
-    seed, whether the stacks hold all rows, four (so a sample's two rows
+    seed, whether a stack holds all rows, four (so a sample's two rows
     straddle stacks) or one; no engine call gets more than
     ``_STACK_HEIGHTS`` heights."""
     if stack_heights:
@@ -230,12 +230,10 @@ def test_verify_identity_rows_follow_the_sampler_stream(g2, monkeypatch, stack_h
     verify_identity(g2, identity(2), samples, rng=5)
     assert all(c.size <= sandpile_module._STACK_HEIGHTS for c in calls)
     assert len(calls) == (1 if stack_heights is None else -(-15 // (stack_heights // 75)))
-    rows = np.concatenate(calls)
     rng = np.random.default_rng(5)
     etas = np.array([sample_recurrent(g2, rng).heights for _ in range(samples)])
-    assert np.array_equal(rows[0], 2 * e)
-    assert np.array_equal(rows[1::2], e + etas)
-    assert np.array_equal(rows[2::2], 4 * etas)
+    want = np.concatenate([2 * e[None], e + etas, 4 * etas])
+    assert sorted(map(tuple, np.concatenate(calls).tolist())) == sorted(map(tuple, want.tolist()))
 
 
 @pytest.mark.parametrize("stack_heights", [None, 300])
