@@ -213,8 +213,8 @@ def wilson_ust(g: VicsekGraph, rng) -> SpanningTree:
 
 
 def _block_picks(g: BlockTree, rng: np.random.Generator, samples: int) -> np.ndarray:
-    """A uniform ``_K4_RECURRENT`` row per block and sample; as numpy's
-    draws join end to end, ``samples`` one-sample calls."""
+    """A uniform ``_K4_RECURRENT`` row per sample and block; numpy's draws
+    join end to end, so one call is ``samples`` calls of one."""
     return rng.integers(0, len(_K4_RECURRENT), size=(samples, len(g.blocks)))
 
 

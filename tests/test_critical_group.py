@@ -221,8 +221,9 @@ def test_element_order_requires_recurrent(g1):
 
 def test_sink_hit_certain_with_four(g1, g2, rng):
     """k >= 4 particles always reach the sink: 4 delta_x is 0 in the group,
-    so eta + k delta_x ends where eta + (k - 4) delta_x does, 4 particles
-    lighter.  Fixed vertices, then sampled ones at levels 0-3, k = 4..9."""
+    so eta + k delta_x stabilizes to what eta + (k - 4) delta_x does and
+    sends 4 more particles to the sink.  Fixed vertices, then sampled ones
+    at levels 0-3, with k = 4..9."""
     cases = [(g1, (0, 0), 4), (g1, (1, 2), 4), (g2, (4, 5), 4), (g2, (0, 3), 4)]
     for level in range(4):
         g = build(level)
