@@ -212,11 +212,11 @@ def test_verify_identity_stack_is_read_off(g2, monkeypatch):
 
 @pytest.mark.parametrize("stack_heights", [None, 300, 75])
 def test_verify_identity_rows_follow_the_sampler_stream(g2, monkeypatch, stack_heights):
-    """The engine gets the rows 2e, e + eta_i and 4 eta_i, in some order, for
-    the samples successive ``sample_recurrent`` calls draw from the same
-    seed, whether a stack holds all rows, four (so a sample's two rows
-    straddle stacks) or one; no engine call gets more than
-    ``_STACK_HEIGHTS`` heights."""
+    """The engine gets the rows 2e, e + eta_i and 4 eta_i for the samples
+    successive ``sample_recurrent`` calls draw from the same seed, the
+    e + eta rows and the 4 eta rows each in sample order, whether a stack
+    holds all rows, four (so a sample's two rows straddle stacks) or one;
+    no engine call gets more than ``_STACK_HEIGHTS`` heights."""
     if stack_heights:
         monkeypatch.setattr(sandpile_module, "_STACK_HEIGHTS", stack_heights)
     calls = []
@@ -229,11 +229,41 @@ def test_verify_identity_rows_follow_the_sampler_stream(g2, monkeypatch, stack_h
     samples, e = 7, identity(2).heights
     verify_identity(g2, identity(2), samples, rng=5)
     assert all(c.size <= sandpile_module._STACK_HEIGHTS for c in calls)
-    assert len(calls) == (1 if stack_heights is None else -(-15 // (stack_heights // 75)))
+    per_stack = sandpile_module._STACK_HEIGHTS // len(e)
+    assert len(calls) == -(-(2 * samples + 1) // per_stack)
     rng = np.random.default_rng(5)
     etas = np.array([sample_recurrent(g2, rng).heights for _ in range(samples)])
-    want = np.concatenate([2 * e[None], e + etas, 4 * etas])
-    assert sorted(map(tuple, np.concatenate(calls).tolist())) == sorted(map(tuple, want.tolist()))
+    plus = [tuple(r) for r in np.concatenate([2 * e[None], e + etas]).tolist()]
+    four = [tuple(r) for r in (4 * etas).tolist()]
+    got = [tuple(r) for r in np.concatenate(calls).tolist()]
+    assert len(got) == len(plus) + len(four)
+    assert [r for r in got if r in plus] == plus
+    assert [r for r in got if r in four] == four
+
+
+@pytest.mark.parametrize("stack_heights", [None, 300, 75])
+def test_verify_identity_names_the_clause_of_a_wrong_row(g2, monkeypatch, stack_heights):
+    """Each row's result counts for its own clause, wherever the row falls
+    in its stack: with the engine's result spoiled on one row, 2e fails (b)
+    alone, e + eta_i (c) alone and 4 eta_i (d) alone."""
+    if stack_heights:
+        monkeypatch.setattr(sandpile_module, "_STACK_HEIGHTS", stack_heights)
+    samples, e = 3, identity(2).heights
+    rng = np.random.default_rng(5)
+    etas = [sample_recurrent(g2, rng).heights for _ in range(samples)]
+    rows = [("b_idempotent", 2 * e)]
+    rows += [("c_neutral", e + eta) for eta in etas] + [("d_fourfold_collapse", 4 * eta) for eta in etas]
+    for clause, bad in rows:
+
+        def spy(g, heights, bad=bad):
+            out = _stabilize_rows(g, heights)
+            out[0][(np.asarray(heights) == bad).all(axis=1)] += 1
+            return out
+
+        monkeypatch.setattr(identity_module, "_stabilize_rows", spy)
+        with pytest.raises(VerificationError) as err:
+            verify_identity(g2, identity(2), samples, rng=5)
+        assert f"clauses ['{clause}']" in str(err.value)
 
 
 @pytest.mark.parametrize("stack_heights", [None, 300])

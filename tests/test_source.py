@@ -58,8 +58,8 @@ def test_library_has_no_assert_statements():
 
 
 class _CallScopes(ast.NodeVisitor):
-    """The innermost function around each call of a function or method
-    named ``name``, None for a call at module level."""
+    """The scopes around each call of a function or method named ``name``,
+    dotted (a method reads as ``Class.method``), None at module level."""
 
     def __init__(self, name: str):
         self.name, self.scopes, self.callers = name, [None], []
@@ -69,11 +69,7 @@ class _CallScopes(ast.NodeVisitor):
         self.generic_visit(node)
         self.scopes.pop()
 
-    def visit_ClassDef(self, node):
-        # a method reads as Class.method
-        self.scopes.append(node.name)
-        self.generic_visit(node)
-        self.scopes.pop()
+    visit_ClassDef = visit_FunctionDef
 
     def visit_Call(self, node):
         if getattr(node.func, "id", getattr(node.func, "attr", None)) == self.name:
