@@ -93,18 +93,10 @@ def config_from_json(data: dict) -> tuple[int, SandpileConfig]:
 def render_pgm(g: VicsekGraph, c: SandpileConfig, path: str) -> None:
     """Plain-text PGM, one lattice cell per pixel, row y = side at the top."""
     side = g.side + 1
-    grid = [[PGM_BACKGROUND] * side for _ in range(side)]
-    for vi, (x, y) in enumerate(g.vertices):
-        if vi == g.sink_index:
-            grid[y][x] = PGM_SINK
-        else:
-            h = int(c.heights[vi])
-            grid[y][x] = PGM_LEVELS.get(h, PGM_OTHER)
-    lines = ["P2", f"{side} {side}", "255"]
-    for y in range(side - 1, -1, -1):
-        lines.append(" ".join(str(v) for v in grid[y]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    xs, ys = g.coordinates()
+    grid = np.full((side, side), PGM_BACKGROUND)
+    grid[ys, xs] = [PGM_LEVELS.get(h, PGM_OTHER) for h in c.heights.tolist()] + [PGM_SINK]
+    np.savetxt(path, grid[::-1], fmt="%d", header=f"P2\n{side} {side}\n255", comments="")
 
 
 def render_svg(g: VicsekGraph, c: SandpileConfig, path: str) -> None:
@@ -114,11 +106,8 @@ def render_svg(g: VicsekGraph, c: SandpileConfig, path: str) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side * cell}" '
         f'height="{side * cell}" viewBox="0 0 {side * cell} {side * cell}">'
     ]
-    for vi, (x, y) in enumerate(g.vertices):
-        if vi == g.sink_index:
-            color = SVG_SINK
-        else:
-            color = SVG_COLORS.get(int(c.heights[vi]), SVG_OTHER)
+    colors = [SVG_COLORS.get(h, SVG_OTHER) for h in c.heights.tolist()] + [SVG_SINK]
+    for x, y, color in zip(*g.coordinates(), colors):
         py = (side - 1 - y) * cell
         out.append(
             f'<rect x="{x * cell}" y="{py}" width="{cell}" height="{cell}" '

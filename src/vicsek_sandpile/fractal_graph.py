@@ -8,9 +8,10 @@ The five copies meet only at single vertices, so the level-n graph is a
 tree of 5^n K4 blocks glued at cut vertices: it has 3*5^n + 1 vertices and
 6*5^n edges, and every vertex has degree 3 (corner of a single block) or
 degree 6 (cutpoint shared by exactly two blocks).  The graph is built as
-that block table.  ``BlockTree`` derives adjacency and the block-tree layout
-from any such table whose last vertex is the sink, so the sandpile engine
-also runs on other trees of K4 blocks, such as the diagonal chain below.
+that block table, with sorted coordinate keys.  ``BlockTree`` derives
+adjacency and the block-tree layout from any such table whose last vertex
+is the sink, so the sandpile engine also runs on other trees of K4 blocks,
+such as the diagonal chain below.
 The layout is one walk out from the sink, and every distance is read off it.
 
 The diagonal chain D_n is the union of the 3^n complete blocks
@@ -351,7 +352,7 @@ class VicsekGraph(BlockTree):
     (x, y), (x, y+1), (x+1, y), (x+1, y+1), rows sorted by lower-left corner.
     Vertices are ordered lexicographically by (x, y); the sink (3^n, 3^n) is
     always the last index.  Adjacency and the block-tree layout come from
-    ``BlockTree``.
+    ``BlockTree``.  Coordinates live once, in the sorted ``keys`` x * (side + 1) + y.
     """
 
     def __init__(self, level: int):
@@ -361,27 +362,41 @@ class VicsekGraph(BlockTree):
 
         squares = _block_corners(level)[:, None, :] + _CORNERS[None, :, :]
         keys = squares[..., 0] * (self.side + 1) + squares[..., 1]
-        codes, blocks = np.unique(keys, return_inverse=True)
+        self.keys, blocks = np.unique(keys, return_inverse=True)
         blocks = blocks.reshape(-1, 4).astype(np.int64)
         super().__init__(blocks[np.argsort(blocks[:, 0])])
-        xs, ys = np.divmod(codes, self.side + 1)
-        self.vertices: list[Coord] = list(zip(xs.tolist(), ys.tolist()))
-        self.index: dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
 
     def __repr__(self) -> str:
         return (
-            f"VicsekGraph(level={self.level}, vertices={len(self.vertices)}, "
+            f"VicsekGraph(level={self.level}, vertices={self.num_vertices}, "
             f"edges={self.num_edges})"
         )
 
+    def coordinates(self, idx=slice(None)) -> tuple:
+        """x and y of the vertices at idx (default all), as Python ints."""
+        return tuple(a.tolist() for a in np.divmod(self.keys[idx], self.side + 1))
+
+    @cached_property
+    def vertices(self) -> list[Coord]:
+        return list(zip(*self.coordinates()))
+
     def contains(self, v: Coord) -> bool:
-        return v in self.index
+        try:
+            self.vertex_index(v)
+        except ValueError:
+            return False
+        return True
 
     def vertex_index(self, v: Coord) -> int:
+        # keys collide off the lattice square: decode back to v
         try:
-            return self.index[v]
-        except KeyError:
-            raise ValueError(f"{v} is not a vertex of the level-{self.level} graph")
+            x, y = v
+            i = int(self.keys.searchsorted(int(x) * (self.side + 1) + int(y)))
+            if divmod(self.keys.item(i), self.side + 1) == v:
+                return i
+        except (TypeError, ValueError, OverflowError, IndexError):
+            pass
+        raise ValueError(f"{v} is not a vertex of the level-{self.level} graph")
 
     def degree(self, v: Coord) -> int:
         return int(self.degrees[self.vertex_index(v)])
@@ -412,7 +427,7 @@ def build(level: int) -> VicsekGraph:
 
 def classify(g: VicsekGraph, v: Coord) -> DiagonalClass:
     """Diagonal / 1-offset / branch classification of a vertex by |x - y|."""
-    x, y = g.vertices[g.vertex_index(v)]
+    x, y = g.coordinates(g.vertex_index(v))
     gap = abs(x - y)
     if gap == 0:
         return DiagonalClass.DIAGONAL_D0
@@ -454,7 +469,7 @@ def descendants(g: VicsekGraph, x: Coord) -> set[Coord]:
     x's subtree in the preorder of the vertex tree, less x."""
     tree = g.vertex_tree
     p = tree.position[g.vertex_index(x)]
-    return {g.vertices[i] for i in tree.order[p + 1 : tree.stop[p]].tolist()}
+    return set(zip(*g.coordinates(tree.order[p + 1 : tree.stop[p]])))
 
 
 def geodesic_subgraph(g: VicsekGraph, x: Coord) -> set[Coord]:
@@ -462,12 +477,9 @@ def geodesic_subgraph(g: VicsekGraph, x: Coord) -> set[Coord]:
     descendants of x: the chain of K4 blocks linking x to the sink."""
     if x == g.sink:
         raise ValueError("the sink has no geodesic subgraph")
-    path = {g.vertex_index(v) for v in geodesic_to_sink(g, x)}
-    ball = set(path)
-    for u in path:
-        ball.update(int(w) for w in g.neighbors[u])
-    coords = {g.vertices[i] for i in ball}
-    return coords - descendants(g, x)
+    path = [g.vertex_index(v) for v in geodesic_to_sink(g, x)]
+    ball = {g.vertices[w] for u in path for w in [u, *g.neighbors[u]]}
+    return ball - descendants(g, x)
 
 
 def graph_distance(g: VicsekGraph, v: Coord, w: Coord) -> int:

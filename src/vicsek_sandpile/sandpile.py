@@ -174,7 +174,10 @@ class AvalancheReport:
 
     @property
     def toppled_set(self) -> frozenset[Coord]:
-        return frozenset(self.graph.vertices[i] for i in self.toppled_indices)
+        """Coordinates of ``toppled_indices``; only a VicsekGraph has them."""
+        if not isinstance(self.graph, VicsekGraph):
+            raise TypeError("no coordinates off a VicsekGraph; use toppled_indices")
+        return frozenset(zip(*self.graph.coordinates(self.toppled_indices)))
 
     @cached_property
     def diameter(self) -> int:
@@ -474,8 +477,7 @@ def boundary_flow(
         return []
     ids = []
     for v in checkpoints:
-        g.vertex_index(v)
-        x, y = v
+        x, y = g.coordinates(g.vertex_index(v))
         if x != y or x < 1:
             raise ValueError(f"checkpoint {v} is not a diagonal vertex (i,i), i >= 1")
         ids.append(x)
@@ -484,8 +486,8 @@ def boundary_flow(
     m = ids[-1]
 
     heights = np.zeros(3 * m + 1, dtype=np.int64)
-    for vi in np.flatnonzero(c.heights):
-        x, y = g.vertices[vi]
+    mass = np.flatnonzero(c.heights)
+    for vi, x, y in zip(mass.tolist(), *g.coordinates(mass)):
         if abs(x - y) > 1:
             raise ValueError(f"configuration has mass at {(x, y)}, off the diagonal chain")
         # (x, x) has chain id 3x, (x, x + 1) has 3x + 1 and (x + 1, x) has 3x + 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -197,6 +198,22 @@ def test_identity_render_svg(capsys, tmp_path):
     body = target.read_text()
     assert body.startswith("<svg")
     assert body.count("<rect") == 16
+
+
+@pytest.mark.parametrize(
+    "level, suffix, digest",
+    [
+        (3, "svg", "d9472d2e2533abc3204e437805d5dd7a3bc0f8e0bdc7c26a025ef5040f40264e"),
+        (3, "pgm", "4604c17e876ff4ca703d6ab7a88c3aed94c5ec9985a186ca5257de5364ffa227"),
+        (5, "svg", "99cf0a64c70daf51e83f5b1f9f7f75aa58fafeb197b89d08ab9df70630d81667"),
+    ],
+)
+def test_identity_renders_are_byte_for_byte(capsys, tmp_path, level, suffix, digest):
+    """The renders of the identity, pinned by their sha256."""
+    target = tmp_path / f"id{level}.{suffix}"
+    code, _, _ = run(capsys, "identity", "--level", str(level), "--render", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 def test_identity_render_bad_extension(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -6,6 +8,9 @@ from hypothesis import given, strategies as st
 from vicsek_sandpile import (
     CapacityError,
     DiagonalClass,
+    SandpileConfig,
+    add_particles,
+    boundary_flow,
     branch_component,
     build,
     classify,
@@ -13,10 +18,20 @@ from vicsek_sandpile import (
     geodesic_subgraph,
     geodesic_to_sink,
     graph_distance,
+    group_add,
+    group_coordinates,
     has_ternary_digit_two,
+    identity,
+    is_recurrent,
     kappa,
+    sample_recurrent,
+    sink_hit_probability,
+    stabilize,
+    stabilize_many,
+    verify_identity,
 )
-from vicsek_sandpile.fractal_graph import BlockTree, descendants, ternary_digits
+from vicsek_sandpile.cli import render_pgm, render_svg
+from vicsek_sandpile.fractal_graph import BlockTree, VicsekGraph, descendants, ternary_digits
 from vicsek_sandpile.sandpile import _chain_volume
 
 from .oracles import _bfs, five_copy_union, hanging_from, nx_graph
@@ -205,6 +220,50 @@ def test_build_validation(monkeypatch):
     monkeypatch.setenv("SANDPILE_LEVEL_CAP", "not-a-number")
     with pytest.raises(ValueError):
         build(1)
+
+
+@pytest.mark.parametrize("v", [(1.5, 0), (-1, 4), (4, -1), (0, -1), (0, 0, 0)])
+def test_lookup_rejects_points_off_the_graph(g1, v):
+    """A key x * 4 + y names one point only for integers 0 <= y <= 3:
+    (1.5, 0) reaches (1, 2)'s key 6, (-1, 4) the origin's 0 and (4, -1) the
+    sink's 15, so the lookup must check what it found."""
+    assert not g1.contains(v)
+    with pytest.raises(ValueError, match=re.escape(f"{v} is not a vertex of the level-1 graph")):
+        g1.vertex_index(v)
+
+
+@pytest.mark.parametrize("v, i", [((0.0, 0), 0), ((np.int64(1), np.int64(2)), 6)])
+def test_lookup_takes_coordinates_equal_to_a_vertex(g1, v, i):
+    assert g1.contains(v) and g1.vertex_index(v) == i
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_vertex_index_inverts_the_vertex_list(level):
+    g = build(level)
+    assert [g.vertex_index(v) for v in g.vertices] == list(range(g.num_vertices))
+    assert all(g.contains(v) for v in g.vertices)
+
+
+def test_engine_and_renderers_never_make_the_vertex_list(tmp_path):
+    """A graph of its own, not the one ``build`` caches, through the engine,
+    the sampler, the group code, the renderers and the fields ``graph``
+    prints: none of them makes the tuple list, and there is no index."""
+    g = VicsekGraph(3)
+    rng = np.random.default_rng(5)
+    eta = sample_recurrent(g, rng)
+    stabilize(g, add_particles(g, eta, (0, 0), 3))
+    stabilize_many(g, [eta, group_add(g, eta, eta)])
+    assert not verify_identity(g, identity(3), 2, rng).failed()
+    sink_hit_probability(g, (4, 5), 2, 4, rng)
+    assert is_recurrent(g, eta)
+    group_coordinates(g, eta)
+    assert boundary_flow(g, add_particles(g, SandpileConfig.constant(g, 0), (0, 0), 4), [(1, 1)])
+    render_pgm(g, eta, str(tmp_path / "eta.pgm"))
+    render_svg(g, eta, str(tmp_path / "eta.svg"))
+    fields = (g.level, g.num_vertices, g.num_edges, list(g.sink), np.unique(g.degrees).tolist())
+    assert fields == (3, 376, 750, [27, 27], [3, 6])
+    assert "vertices" not in g.__dict__
+    assert not hasattr(g, "index")
 
 
 def test_classify(g1):

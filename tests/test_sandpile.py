@@ -115,6 +115,15 @@ def test_stabilize_k4_example(g0):
     assert rep.diameter == 1
 
 
+def test_toppled_set_needs_a_graph_with_coordinates():
+    """A chain volume is a block tree without coordinates: ``toppled_set``
+    raises a TypeError that points to ``toppled_indices``."""
+    _, rep = stabilize(_chain_volume(2), SandpileConfig([3, 0, 0, 0, 0, 0]))
+    assert rep.toppled_indices.tolist() == [0]
+    with pytest.raises(TypeError, match="toppled_indices"):
+        rep.toppled_set
+
+
 @lru_cache(maxsize=None)
 def _all_pairs(kind: str, i: int):
     g = build(i) if kind == "level" else _chain_volume(i)
@@ -613,6 +622,13 @@ def test_boundary_flow_all_two(g1):
     c = add_particles(g1, chain_config(g1, chain), (0, 0), 1)
     counts = boundary_flow(g1, c, [(1, 1), (2, 2), (3, 3)])
     assert counts[0] == 3
+
+
+def test_boundary_flow_takes_checkpoints_equal_to_a_vertex(g2):
+    c = add_particles(g2, SandpileConfig.constant(g2, 0), (0, 0), 4)
+    assert boundary_flow(g2, c, [(1.0, 1.0), (np.int64(2), 2)]) == boundary_flow(
+        g2, c, [(1, 1), (2, 2)]
+    )
 
 
 def test_boundary_flow_zero_absorbs(g2):
